@@ -4,8 +4,8 @@ The cycle-accurate P5 in :mod:`repro.core` is the golden model: every
 register, stall and resynchronisation buffer of the paper, one clock
 at a time.  This package is its throughput-serving twin: the same
 stuff → CRC → frame → delineate → destuff → check transformation
-applied to *whole frames and batches of frames* with vectorised numpy
-kernels and the C-speed :mod:`zlib` CRC — no per-cycle stepping.
+applied to *whole frames and batches of frames* with C-level ``bytes``
+operations and the C-speed :mod:`zlib` CRC — no per-cycle stepping.
 
 The two engines are kept honest against each other by the
 :class:`~repro.fastpath.differential.DifferentialHarness`, which runs

@@ -2,18 +2,23 @@
 
 Everything the cycle-accurate P5 does to a frame — FCS generation,
 octet stuffing, flag wrapping, delineation, destuffing, FCS checking —
-expressed as whole-buffer transformations:
+expressed as C-level ``bytes`` operations, a handful per frame rather
+than any per-octet Python:
 
-* **TX** — a *batch* of frame contents becomes one wire byte stream in
-  a single pass: per-frame CRCs via :func:`zlib.crc32` (bit-identical
-  to FCS-32, see :mod:`repro.crc.polynomial`), then one vectorised
-  scatter that stuffs every body and places every flag with numpy
-  index arithmetic.
-* **RX** — the wire stream is delineated by one ``np.flatnonzero`` over
-  the flag mask; each body is destuffed with a vectorised run-parity
-  kernel that reproduces the cycle model's
-  :func:`~repro.core.escape_det.contract_word` semantics exactly
-  (including non-conforming chained-escape input), then residue-checked.
+* **TX** — each frame's body (content plus an FCS from
+  :func:`zlib.crc32`, bit-identical to FCS-32, see
+  :mod:`repro.crc.polynomial`) is stuffed by a chain of
+  ``bytes.replace`` calls, escape octet first, and the whole batch is
+  joined with its flags in one ``b"".join``.
+* **RX** — the wire stream is delineated with ``find``/``rfind``/
+  ``split`` on the flag; each body is destuffed by the inverse
+  ``replace`` chain, accepted only when it deleted exactly one octet
+  per escape, and residue-checked with :func:`zlib.crc32`.  Input the
+  chain cannot decode exactly (non-conforming ``7D 7D`` chains, an
+  escape before an octet that never needed one) falls back to the
+  run-parity kernel :meth:`FastpathEngine._destuff`, which reproduces
+  the cycle model's :func:`~repro.core.escape_det.contract_word`
+  semantics and is the one exact reference.
 
 The engine mirrors the cycle model's observable behaviour: identical
 line bytes on TX, and on RX identical frame verdicts plus the OAM
@@ -25,6 +30,7 @@ equivalence run by run.
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -116,8 +122,31 @@ class FastpathEngine:
             and spec.xorout == 0xFFFFFFFF
         )
         self._table = None if self._zlib_ok else TableCrc(spec)
-        self._escape_values = np.array(
-            sorted(self.config.escape_octets), dtype=np.uint8
+        self._flag = bytes([self.config.flag_octet])
+        self._esc = bytes([self.config.esc_octet])
+        # Stuffing pairs (octet, escaped form), the escape octet first
+        # so no later pass re-escapes an escape it inserted.
+        escapes = self.config.escape_octets
+        others = sorted(escapes - {self.config.esc_octet})
+        pairs = [
+            (bytes([v]), self._esc + bytes([v ^ ESCAPE_XOR]))
+            for v in [self.config.esc_octet] + others
+        ]
+        # A replace chain is exact only when no escaped form's second
+        # octet is itself an escape octet: then no pass can match what
+        # an earlier pass wrote.  True for the default set and for any
+        # ACCM over the default flag and escape; any other set stuffs
+        # through one regex pass and destuffs through ``_destuff``.
+        chain_ok = all(v ^ ESCAPE_XOR not in escapes for v in escapes)
+        self._stuff_pairs = pairs if chain_ok else None
+        self._unstuff_pairs = (
+            [(escaped, octet) for octet, escaped in reversed(pairs)]
+            if chain_ok
+            else None
+        )
+        self._escaped = dict(pairs)
+        self._escape_re = re.compile(
+            b"[" + b"".join(re.escape(octet) for octet, _ in pairs) + b"]"
         )
 
     # ------------------------------------------------------------------- CRC
@@ -147,52 +176,42 @@ class FastpathEngine:
         The output is bit-identical to what the cycle-accurate
         transmitter puts on the PHY for the same submissions: each
         frame individually wrapped in flags, frames back to back.
-
-        The batch is one vectorised pass: all bodies (content + FCS
-        trailer) are concatenated, escapable octets located with a
-        single ``np.isin``, and every output position — including both
-        flags of every frame — computed by index arithmetic, so the
-        wire stream is written with three scatter stores regardless of
-        frame count.
+        Each body (content + FCS trailer) is stuffed on its own; the
+        escape count is the growth the stuffing caused.
         """
         if not contents:
             return FastpathTxResult(
                 line=b"", frames=0, content_octets=0, octets_escaped=0
             )
         fcs_octets = self.fcs_octets
-        bodies: List[bytes] = []
+        flag = self._flag
+        between = flag + flag
+        wire: List[bytes] = [flag]
         content_octets = 0
         for content in contents:
             if not content:
                 raise ValueError("cannot transmit an empty frame")
             content_octets += len(content)
-            bodies.append(
-                content + self.fcs_of(content).to_bytes(fcs_octets, "little")
-            )
-        lengths = np.fromiter(
-            (len(b) for b in bodies), dtype=np.int64, count=len(bodies)
-        )
-        cat = np.frombuffer(b"".join(bodies), dtype=np.uint8)
-        needs = np.isin(cat, self._escape_values)
-        escapes = int(needs.sum())
-        # Where each input octet lands on the wire: its own index, plus
-        # one slot per escape inserted before it, plus the flags of the
-        # frames up to and including its own opening flag.
-        esc_before = np.cumsum(needs) - needs
-        frame_idx = np.repeat(np.arange(len(bodies)), lengths)
-        positions = np.arange(cat.size) + esc_before + 2 * frame_idx + 1
-        total = cat.size + escapes + 2 * len(bodies)
-        # Every slot not written below is a flag position by
-        # construction (one before and one after each stuffed body).
-        out = np.full(total, self.config.flag_octet, dtype=np.uint8)
-        out[positions] = np.where(needs, self.config.esc_octet, cat)
-        out[positions[needs] + 1] = cat[needs] ^ ESCAPE_XOR
+            body = content + self.fcs_of(content).to_bytes(fcs_octets, "little")
+            wire.append(self._stuff(body))
+            wire.append(between)
+        wire[-1] = flag
+        line = b"".join(wire)
+        fcs_total = fcs_octets * len(contents)
         return FastpathTxResult(
-            line=out.tobytes(),
-            frames=len(bodies),
+            line=line,
+            frames=len(contents),
             content_octets=content_octets,
-            octets_escaped=escapes,
+            octets_escaped=len(line) - 2 * len(contents) - content_octets - fcs_total,
         )
+
+    def _stuff(self, body: bytes) -> bytes:
+        """RFC 1662 octet stuffing of one body."""
+        if self._stuff_pairs is None:
+            return self._escape_re.sub(lambda m: self._escaped[m.group()], body)
+        for octet, escaped in self._stuff_pairs:
+            body = body.replace(octet, escaped)
+        return body
 
     # -------------------------------------------------------------------- RX
     def decode_stream(self, line: bytes) -> FastpathRxResult:
@@ -209,24 +228,25 @@ class FastpathEngine:
         runt.
         """
         result = FastpathRxResult()
-        arr = np.frombuffer(line, dtype=np.uint8)
-        flag_positions = np.flatnonzero(arr == self.config.flag_octet)
-        if flag_positions.size == 0:
-            result.octets_discarded_hunting = arr.size
+        line = bytes(line)
+        flag = self._flag
+        first = line.find(flag)
+        if first < 0:
+            result.octets_discarded_hunting = len(line)
             return result
-        result.octets_discarded_hunting += int(flag_positions[0])
-        result.open_tail_octets = int(arr.size - flag_positions[-1] - 1)
+        last = line.rfind(flag)
+        result.octets_discarded_hunting = first
+        result.open_tail_octets = len(line) - last - 1
+        if first == last:
+            return result
+        # Bodies are the (possibly empty) spans between adjacent flags.
+        bodies = line[first + 1 : last].split(flag)
+        result.empty_bodies = bodies.count(b"")
         max_body = self.config.max_frame_octets
         fcs_octets = self.fcs_octets
         esc_octet = self.config.esc_octet
-        # Bodies are the (possibly empty) spans between adjacent flags;
-        # numpy slices keep them zero-copy views of the line buffer.
-        for start, end in zip(flag_positions[:-1] + 1, flag_positions[1:]):
-            if end == start:
-                result.empty_bodies += 1
-                continue
-            body = arr[start:end]
-            if max_body and body.size > max_body:
+        for body in filter(None, bodies):
+            if max_body and len(body) > max_body:
                 # The cycle delineator cuts on the (max+1)-th body
                 # octet, force-closes the already-shipped prefix as a
                 # frame (the cut always lies past the held-back window
@@ -234,13 +254,13 @@ class FastpathEngine:
                 # the rest of the body is noise.  No abort check: the
                 # cut is forced by count, not by ESC-then-FLAG.
                 result.oversize_drops += 1
-                result.octets_discarded_hunting += body.size - (max_body + 1)
+                result.octets_discarded_hunting += len(body) - (max_body + 1)
                 body = body[: max_body + 1]
             elif body[-1] == esc_octet:
                 result.aborts += 1
                 continue
-            clear, deleted = self._destuff(body)
-            result.octets_deleted += deleted
+            clear = self._unstuff(body)
+            result.octets_deleted += len(body) - len(clear)
             if len(clear) <= fcs_octets:
                 result.runt_frames += 1
                 continue
@@ -252,8 +272,28 @@ class FastpathEngine:
             result.frames.append((clear[:-fcs_octets], good))
         return result
 
+    def _unstuff(self, body: bytes) -> bytes:
+        """Escape removal: the replace chain when provably exact.
+
+        Each pass turns ``ESC x`` into ``x ^ 0x20``, the escape pair
+        last so the escapes it restores meet no later pass.  On
+        conforming input every escape is deleted exactly once; any
+        other count means non-conforming input, which takes the
+        run-parity reference.
+        """
+        escapes = body.count(self._esc)
+        if not escapes:
+            return body
+        if self._unstuff_pairs is not None:
+            clear = body
+            for escaped, octet in self._unstuff_pairs:
+                clear = clear.replace(escaped, octet)
+            if len(body) - len(clear) == escapes:
+                return clear
+        return self._destuff(np.frombuffer(body, dtype=np.uint8))[0]
+
     def _destuff(self, body: np.ndarray) -> Tuple[bytes, int]:
-        """Vectorised escape removal with cycle-exact run semantics.
+        """Escape removal with cycle-exact run semantics (the reference).
 
         :func:`~repro.core.escape_det.contract_word` deletes an escape
         and XORs whatever octet follows — so within a maximal run of

@@ -6,14 +6,19 @@ the receive side octet by octet.  This mapper does the same
 transformation in bulk: one batched
 :meth:`~repro.fastpath.engine.FastpathEngine.encode_frames` call
 produces the whole HDLC stream, flag fill pads it to a whole number of
-SPE payloads, the (vectorised) x^43+1 scrambler runs over the full
-payload block, and the receive side descrambles and decodes the entire
+SPE payloads, the x^43+1 scrambler runs over the full payload block as
+one integer, and the receive side descrambles and decodes the entire
 stream in one :meth:`~repro.fastpath.engine.FastpathEngine.
 decode_stream` pass.
 
-The SONET transport overhead itself (:class:`~repro.sonet.framer.
-SonetFramer`) is reused unchanged — it is already a vectorised numpy
-grid and not a bottleneck.
+Like :class:`~repro.sonet.path.PppOverSonet`, the path keeps one
+scrambler per direction for its lifetime, so successive batches form
+one continuous RFC 2615 stream that any receiver, fastpath or
+behavioural, descrambles across batch boundaries.
+
+The SONET transport overhead itself is the behavioural path's
+:class:`~repro.sonet.framer.SonetFramer`: one numpy grid per frame
+over cached column geometry, frame-sync scrambled by a single XOR.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ class SonetFastpath:
         self.engine = FastpathEngine(config)
         self.framer = SonetFramer(n, c2=c2)
         self.rx_framer = SonetRxFramer(n, expected_c2=c2)
+        self._tx_scrambler = SelfSyncScrambler()
+        self._rx_scrambler = SelfSyncScrambler()
 
     # --------------------------------------------------------------- TX side
     def encode(self, contents: Sequence[bytes]) -> List[bytes]:
@@ -70,15 +77,15 @@ class SonetFastpath:
         pattern), scrambled, and cut into 125 µs frames.
         """
         flag = self.engine.config.flag_octet
-        stream = bytearray(self.engine.encode_frames(contents).line)
+        stream = self.engine.encode_frames(contents).line
         need = self.framer.payload_bytes_per_frame
         remainder = len(stream) % need
         if remainder or not stream:
             stream += bytes([flag]) * (need - remainder)
         if self.payload_scrambling:
-            stream = SelfSyncScrambler().scramble(bytes(stream))
+            stream = self._tx_scrambler.scramble(stream)
         return [
-            self.framer.build(bytes(stream[off : off + need]))
+            self.framer.build(stream[off : off + need])
             for off in range(0, len(stream), need)
         ]
 
@@ -87,7 +94,7 @@ class SonetFastpath:
         """Recover PPP frames from SONET line bytes, in one pass."""
         payload = self.rx_framer.feed(b"".join(line_frames))
         if self.payload_scrambling and payload:
-            payload = SelfSyncScrambler().descramble(payload)
+            payload = self._rx_scrambler.descramble(payload)
         return SonetFastpathResult(
             line_frames=list(line_frames),
             rx=self.engine.decode_stream(payload),

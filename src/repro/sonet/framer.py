@@ -18,8 +18,9 @@ everything except row 0 of the section overhead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -42,8 +43,40 @@ __all__ = ["SonetFrame", "SonetFramer"]
 
 def _bip8(data: np.ndarray) -> int:
     """BIP-8: even parity per bit position over all bytes."""
-    return int(np.bitwise_xor.reduce(data.reshape(-1).astype(np.uint8), axis=None)) \
-        if data.size else 0
+    return int(np.bitwise_xor.reduce(data, axis=None)) if data.size else 0
+
+
+@functools.lru_cache(maxsize=None)
+def payload_columns(n: int, poh_col: int) -> Union[slice, np.ndarray]:
+    """Grid columns carrying payload when the POH sits in ``poh_col``.
+
+    The SPE columns minus the POH column and the fixed-stuff columns
+    after it (wrapping within the SPE).  A slice when they are
+    contiguous, as they are at pointer 0; a read-only index array
+    otherwise.  Cached: the geometry depends on nothing else.
+    """
+    rate = StsRate(n)
+    toh, width = rate.toh_columns, rate.spe_columns
+    reserved = {
+        toh + (poh_col - toh + k) % width for k in range(fixed_stuff_columns(n) + 1)
+    }
+    cols = [c for c in range(toh, rate.columns) if c not in reserved]
+    if cols[-1] - cols[0] + 1 == len(cols):
+        return slice(cols[0], cols[-1] + 1)
+    index = np.array(cols)
+    index.flags.writeable = False
+    return index
+
+
+def keystream_grid(rate: StsRate) -> np.ndarray:
+    """The frame-sync keystream laid over one frame's grid.
+
+    Zero under row 0's transport overhead (A1/A2/J0 are sent in the
+    clear), so scrambling a whole frame is a single XOR.
+    """
+    grid = np.zeros(ROWS * rate.columns, dtype=np.uint8)
+    grid[rate.toh_columns :] = FrameSyncScrambler().sequence(grid.size - rate.toh_columns)
+    return grid.reshape(ROWS, rate.columns)
 
 
 @dataclass
@@ -120,10 +153,11 @@ class SonetFramer:
         self.j0 = j0
         self.j1 = (j1 + b" " * 16)[:16]
         self.scramble = scramble
-        self._scrambler = FrameSyncScrambler()
-        self._prev_frame_scrambled: Optional[np.ndarray] = None
-        self._prev_line_portion: Optional[np.ndarray] = None
-        self._prev_spe: Optional[np.ndarray] = None
+        self._keystream = keystream_grid(self.rate) if scramble else None
+        # B1/B2/B3 owed to the next frame: parity of this one.
+        self._b1: Optional[int] = None
+        self._b2: Optional[int] = None
+        self._b3: Optional[int] = None
         self._j1_cursor = 0
         self.frames_built = 0
 
@@ -133,16 +167,6 @@ class SonetFramer:
         from repro.sonet.rates import payload_capacity_bytes
 
         return payload_capacity_bytes(self.n)
-
-    def _payload_columns(self) -> List[int]:
-        """Grid columns available to payload (excl. TOH, POH, stuff)."""
-        toh = self.rate.toh_columns
-        spe_cols = list(range(toh, self.rate.columns))
-        poh_col = toh + (self.pointer % (self.rate.spe_columns))
-        # POH occupies one column; fixed stuff the next N/3-1 columns.
-        stuff = fixed_stuff_columns(self.n)
-        reserved = {self._wrap_spe_col(poh_col, k) for k in range(stuff + 1)}
-        return [c for c in spe_cols if c not in reserved]
 
     def _wrap_spe_col(self, col: int, offset: int) -> int:
         toh = self.rate.toh_columns
@@ -167,10 +191,8 @@ class SonetFramer:
         self._write_toh(grid)
         self._write_poh_and_payload(grid, payload)
         self._write_parity(grid)
-        line_portion = grid[3:, :].copy()
-        wire = self._apply_scrambler(grid)
-        self._prev_frame_scrambled = wire.copy()
-        self._prev_line_portion = line_portion
+        wire = grid ^ self._keystream if self.scramble else grid
+        self._b1 = _bip8(wire)
         self.frames_built += 1
         return wire.tobytes()
 
@@ -199,33 +221,20 @@ class SonetFramer:
         self._j1_cursor = (self._j1_cursor + 1) % len(self.j1)
         grid[2, poh_col] = self.c2
         grid[3, poh_col] = 0x00  # G1: no remote defects
-        cols = self._payload_columns()
-        block = np.frombuffer(payload, dtype=np.uint8).reshape(ROWS, len(cols))
-        grid[:, cols] = block
+        grid[:, payload_columns(self.n, poh_col)] = np.frombuffer(
+            payload, dtype=np.uint8
+        ).reshape(ROWS, -1)
         self._poh_col_last = poh_col
 
     def _write_parity(self, grid: np.ndarray) -> None:
-        n = self.n
         # B1 (row 1, col 0): section BIP-8 over previous scrambled frame.
-        if self._prev_frame_scrambled is not None:
-            grid[1, 0] = _bip8(self._prev_frame_scrambled)
+        if self._b1 is not None:
+            grid[1, 0] = self._b1
         # B2 (row 5, col 0): line BIP over previous frame's line portion.
-        if self._prev_line_portion is not None:
-            grid[5, 0] = _bip8(self._prev_line_portion)
+        if self._b2 is not None:
+            grid[5, 0] = self._b2
         # B3 (row 1 of POH): path BIP-8 over the previous SPE.
-        spe = grid[:, self.rate.toh_columns :]
-        if self._prev_spe is not None:
-            grid[1, self._poh_col_last] = _bip8(self._prev_spe)
-        self._prev_spe = spe.copy()
-
-    def _apply_scrambler(self, grid: np.ndarray) -> np.ndarray:
-        if not self.scramble:
-            return grid.copy()
-        flat = grid.reshape(-1).copy()
-        keystream = self._scrambler.sequence(flat.size)
-        # Row 0's section overhead (A1/A2/J0 region) is not scrambled.
-        start = self.rate.toh_columns
-        mask = np.ones(flat.size, dtype=bool)
-        mask[:start] = False
-        flat[mask] ^= keystream[: int(mask.sum())]
-        return flat.reshape(grid.shape)
+        if self._b3 is not None:
+            grid[1, self._poh_col_last] = self._b3
+        self._b2 = _bip8(grid[3:, :])
+        self._b3 = _bip8(grid[:, self.rate.toh_columns :])

@@ -18,9 +18,8 @@ from typing import Optional
 import numpy as np
 
 from repro.sonet.constants import A1, A2, POINTER_MAX, ROWS
-from repro.sonet.framer import _bip8
-from repro.sonet.rates import StsRate, fixed_stuff_columns
-from repro.sonet.scrambler import FrameSyncScrambler
+from repro.sonet.framer import _bip8, keystream_grid, payload_columns
+from repro.sonet.rates import StsRate
 
 __all__ = ["FramerState", "RxCounters", "SonetRxFramer"]
 
@@ -84,7 +83,8 @@ class SonetRxFramer:
         self.descramble = descramble
         self.oof_threshold = oof_threshold
         self.lof_threshold = lof_threshold
-        self._scrambler = FrameSyncScrambler()
+        self._keystream = keystream_grid(self.rate) if descramble else None
+        self._framing_pattern = bytes([A1] * n + [A2] * n)
         self._buffer = bytearray()
         self.state = FramerState.HUNT
         self.counters = RxCounters()
@@ -92,17 +92,16 @@ class SonetRxFramer:
         self._oof_hunt_bytes = 0      # bytes spent hunting since OOF
         self._lof_declared = False
         self._presync_ok = 0
-        self._prev_scrambled: Optional[np.ndarray] = None
-        self._prev_line_portion: Optional[np.ndarray] = None
-        self._prev_spe: Optional[np.ndarray] = None
+        # Parity of the previous frame, checked against this frame's
+        # B1/B2/B3.
+        self._b1: Optional[int] = None
+        self._b2: Optional[int] = None
+        self._b3: Optional[int] = None
 
     # ---------------------------------------------------------------- sizes
     @property
     def frame_bytes(self) -> int:
         return ROWS * self.rate.columns
-
-    def _pattern(self) -> bytes:
-        return bytes([A1] * self.n + [A2] * self.n)
 
     # ----------------------------------------------------------------- feed
     def feed(self, data: bytes) -> bytes:
@@ -122,7 +121,7 @@ class SonetRxFramer:
         return bytes(payload)
 
     def _hunt(self) -> bool:
-        pattern = self._pattern()
+        pattern = self._framing_pattern
         idx = bytes(self._buffer).find(pattern)
         if idx < 0:
             # Keep a pattern's worth of tail in case it straddles chunks.
@@ -153,7 +152,7 @@ class SonetRxFramer:
             self._lof_declared = True
 
     def _framing_ok(self, raw: bytes) -> bool:
-        return raw.startswith(self._pattern())
+        return raw.startswith(self._framing_pattern)
 
     def _process_frame(self, raw: bytes) -> bytes:
         if not self._framing_ok(raw):
@@ -167,7 +166,7 @@ class SonetRxFramer:
         grid_scrambled = np.frombuffer(raw, dtype=np.uint8).reshape(
             ROWS, self.rate.columns
         )
-        grid = self._descramble(grid_scrambled)
+        grid = grid_scrambled ^ self._keystream if self.descramble else grid_scrambled
         payload = self._extract(grid, grid_scrambled)
         self.counters.frames_ok += 1
         return payload
@@ -183,31 +182,16 @@ class SonetRxFramer:
             self.counters.bytes_discarded_hunting += 1
             self.state = FramerState.HUNT
             self._bad_framings = 0
-            self._prev_scrambled = None
-            self._prev_line_portion = None
-            self._prev_spe = None
+            self._b1 = self._b2 = self._b3 = None
         return b""
-
-    def _descramble(self, grid_scrambled: np.ndarray) -> np.ndarray:
-        if not self.descramble:
-            return grid_scrambled.copy()
-        flat = grid_scrambled.reshape(-1).copy()
-        keystream = self._scrambler.sequence(flat.size)
-        start = self.rate.toh_columns
-        mask = np.ones(flat.size, dtype=bool)
-        mask[:start] = False
-        flat[mask] ^= keystream[: int(mask.sum())]
-        return flat.reshape(grid_scrambled.shape)
 
     def _extract(self, grid: np.ndarray, grid_scrambled: np.ndarray) -> bytes:
         n = self.n
         # Parity checks: B1/B2/B3 in this frame cover the previous one.
-        if self._prev_scrambled is not None:
-            if int(grid[1, 0]) != _bip8(self._prev_scrambled):
-                self.counters.b1_errors += 1
-        if self._prev_line_portion is not None:
-            if int(grid[5, 0]) != _bip8(self._prev_line_portion):
-                self.counters.b2_errors += 1
+        if self._b1 is not None and int(grid[1, 0]) != self._b1:
+            self.counters.b1_errors += 1
+        if self._b2 is not None and int(grid[5, 0]) != self._b2:
+            self.counters.b2_errors += 1
         # Pointer interpretation.
         h1, h2 = int(grid[3, 0]), int(grid[3, n])
         pointer = ((h1 & 0x03) << 8) | h2
@@ -215,19 +199,13 @@ class SonetRxFramer:
             self.counters.pointer_invalid += 1
             pointer = 0
         toh = self.rate.toh_columns
-        spe_width = self.rate.spe_columns
-        poh_col = toh + pointer % spe_width
-        stuff = fixed_stuff_columns(n)
-        reserved = {toh + (poh_col - toh + k) % spe_width for k in range(stuff + 1)}
+        poh_col = toh + pointer % self.rate.spe_columns
         if self.expected_c2 is not None and int(grid[2, poh_col]) != self.expected_c2:
             self.counters.c2_mismatches += 1
-        spe = grid[:, toh:]
-        if self._prev_spe is not None:
-            if int(grid[1, poh_col]) != _bip8(self._prev_spe):
-                self.counters.b3_errors += 1
-        cols = [c for c in range(toh, self.rate.columns) if c not in reserved]
-        payload = grid[:, cols].reshape(-1).tobytes()
-        self._prev_scrambled = grid_scrambled.copy()
-        self._prev_line_portion = grid[3:, :].copy()
-        self._prev_spe = spe.copy()
+        if self._b3 is not None and int(grid[1, poh_col]) != self._b3:
+            self.counters.b3_errors += 1
+        payload = grid[:, payload_columns(n, poh_col)].tobytes()
+        self._b1 = _bip8(grid_scrambled)
+        self._b2 = _bip8(grid[3:, :])
+        self._b3 = _bip8(grid[:, toh:])
         return payload

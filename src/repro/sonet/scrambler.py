@@ -15,16 +15,46 @@ Two distinct scramblers appear in PPP-over-SONET:
   obsoleted — we implement both so the path can be configured either
   way.
 
-Both are GF(2) LFSR streams, vectorised with numpy over whole frames.
+The frame-synchronous keystream repeats every 127 bytes, so it is
+generated bit by bit once per process and tiled to any length; the
+self-synchronous scrambler works on the whole chunk as one Python
+integer, so its per-bit recurrence runs as a few C-level shifts and
+XORs.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from repro.utils.bits import bits_to_bytes, bytes_to_bits
-
 __all__ = ["FrameSyncScrambler", "SelfSyncScrambler"]
+
+#: 1 + x^6 + x^7 is maximal length: its bit stream has period 127, and
+#: since gcd(8, 127) = 1 the byte keystream repeats every 127 bytes.
+FRAME_SYNC_PERIOD_BYTES = 127
+
+
+def _lfsr_bytes(nbytes: int) -> np.ndarray:
+    """The 1 + x^6 + x^7 keystream, one bit at a time, from all ones."""
+    state = 0x7F  # seven ones
+    out = np.empty(nbytes, dtype=np.uint8)
+    for i in range(nbytes):
+        byte = 0
+        for _ in range(8):
+            bit = (state >> 6) & 1            # output = x^7 tap
+            feedback = ((state >> 6) ^ (state >> 5)) & 1  # x^7 + x^6
+            state = ((state << 1) | feedback) & 0x7F
+            byte = (byte << 1) | bit
+        out[i] = byte
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_sync_period() -> np.ndarray:
+    period = _lfsr_bytes(FRAME_SYNC_PERIOD_BYTES)
+    period.flags.writeable = False
+    return period
 
 
 class FrameSyncScrambler:
@@ -34,25 +64,9 @@ class FrameSyncScrambler:
     is its own inverse so the same call descrambles.
     """
 
-    def __init__(self) -> None:
-        self._cache: dict = {}
-
     def sequence(self, nbytes: int) -> np.ndarray:
         """Keystream of ``nbytes`` bytes, starting from the all-ones seed."""
-        if nbytes in self._cache:
-            return self._cache[nbytes]
-        state = 0x7F  # seven ones
-        out = np.empty(nbytes, dtype=np.uint8)
-        for i in range(nbytes):
-            byte = 0
-            for _ in range(8):
-                bit = (state >> 6) & 1            # output = x^7 tap
-                feedback = ((state >> 6) ^ (state >> 5)) & 1  # x^7 + x^6
-                state = ((state << 1) | feedback) & 0x7F
-                byte = (byte << 1) | bit
-            out[i] = byte
-        self._cache[nbytes] = out
-        return out
+        return np.resize(_frame_sync_period(), nbytes)
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """Scramble/descramble a frame-aligned byte array."""
@@ -63,52 +77,53 @@ class FrameSyncScrambler:
 class SelfSyncScrambler:
     """The x^43 + 1 self-synchronous scrambler.
 
-    Scramble: ``out[i] = in[i] ^ out[i-43]`` (bitwise over the bit
-    stream).  Descramble: ``out[i] = in[i] ^ in[i-43]`` — errors
-    propagate exactly 43 bits, and the two directions maintain
-    independent 43-bit state carried across calls (the stream spans
-    frame boundaries).
+    Scramble: ``out[i] = in[i] ^ out[i-43]`` (bitwise over the
+    MSB-first bit stream).  Descramble: ``out[i] = in[i] ^ in[i-43]``
+    — errors propagate exactly 43 bits, and the two directions
+    maintain independent 43-bit state carried across calls (the stream
+    spans frame boundaries).
+
+    A chunk is handled as one big-endian integer with the 43 state
+    bits prepended above it, so bit ``i - 43`` of the stream sits 43
+    places above bit ``i``.
     """
 
     TAPS = 43
+    _STATE_MASK = (1 << TAPS) - 1
 
     def __init__(self) -> None:
-        self._tx_state = np.zeros(self.TAPS, dtype=np.uint8)
-        self._rx_state = np.zeros(self.TAPS, dtype=np.uint8)
+        self._tx_state = 0
+        self._rx_state = 0
 
     def reset(self) -> None:
-        self._tx_state[:] = 0
-        self._rx_state[:] = 0
+        self._tx_state = 0
+        self._rx_state = 0
 
     def scramble(self, data: bytes) -> bytes:
         """Scramble ``data`` continuing from previous state.
 
-        The recurrence ``out[i] = in[i] ^ out[i-43]`` couples only bits
-        in the same residue class mod 43, so each class is a running
-        XOR — vectorised as a column-wise ``bitwise_xor.accumulate``
-        over rows of 43 bits (a frame's worth costs two numpy passes
-        instead of 300k Python iterations).
+        ``out = in ^ (out >> 43)`` unrolls to the prefix XOR
+        ``in ^ (in >> 43) ^ (in >> 86) ^ ...``, built by doubling the
+        shift: each step doubles how many terms are folded in, so a
+        chunk of ``b`` bits takes about ``log2(b / 43)`` steps.  The
+        state bits, having nothing above them, come out unchanged.
         """
-        bits = bytes_to_bits(data)
-        n = bits.size
-        if n == 0:
+        nbits = 8 * len(data)
+        if not nbits:
             return b""
-        pad = (-n) % self.TAPS
-        grid = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-        grid = grid.reshape(-1, self.TAPS)
-        acc = np.bitwise_xor.accumulate(grid, axis=0)
-        out = (acc ^ self._tx_state[None, :]).reshape(-1)[:n]
-        if n >= self.TAPS:
-            self._tx_state = out[-self.TAPS :].copy()
-        else:
-            self._tx_state = np.concatenate([self._tx_state[n:], out])
-        return bits_to_bytes(out)
+        x = (self._tx_state << nbits) | int.from_bytes(data, "big")
+        shift = self.TAPS
+        while shift < nbits + self.TAPS:
+            x ^= x >> shift
+            shift <<= 1
+        self._tx_state = x & self._STATE_MASK
+        return (x & ((1 << nbits) - 1)).to_bytes(len(data), "big")
 
     def descramble(self, data: bytes) -> bytes:
         """Descramble ``data`` continuing from previous state."""
-        bits = bytes_to_bits(data)
-        padded = np.concatenate([self._rx_state, bits])
-        out = padded[self.TAPS :] ^ padded[: -self.TAPS]
-        self._rx_state = bits[-self.TAPS :].copy() if bits.size >= self.TAPS else \
-            np.concatenate([self._rx_state[bits.size :], bits])
-        return bits_to_bytes(out)
+        nbits = 8 * len(data)
+        if not nbits:
+            return b""
+        x = (self._rx_state << nbits) | int.from_bytes(data, "big")
+        self._rx_state = x & self._STATE_MASK
+        return ((x ^ (x >> self.TAPS)) & ((1 << nbits) - 1)).to_bytes(len(data), "big")

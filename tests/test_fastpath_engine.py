@@ -1,17 +1,24 @@
 """The frame-level fastpath engine: TX/RX kernels, SONET path, adapters."""
 
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import P5Config
 from repro.crc import CRC16_X25
 from repro.fastpath import (
     FastpathEngine,
+    FastpathRxResult,
     SonetFastpath,
     build_fastpath_loopback,
 )
-from repro.hdlc import Accm, HdlcFramer
+from repro.hdlc import Accm, HdlcFramer, stuffed_length
 from repro.hdlc.constants import ESC_OCTET, FLAG_OCTET
 from repro.rtl.simulator import Simulator
+from repro.sonet.path import PppOverSonet
 from repro.workloads.packets import ppp_frame_contents
 
 CONTENTS = [b"\xff\x03\x00\x21hello", b"\x7e\x7d\x7e\x7d", bytes(range(64))]
@@ -125,8 +132,6 @@ def test_destuff_chained_escapes_match_unstuff():
     engine = FastpathEngine()
     payload = bytes([ESC_OCTET, ESC_OCTET, FLAG_OCTET, 0x00, ESC_OCTET])
     stuffed = stuff(payload)
-    import numpy as np
-
     clear, deleted = engine._destuff(np.frombuffer(stuffed, dtype=np.uint8))
     assert clear == unstuff(stuffed) == payload
     assert deleted == len(stuffed) - len(payload)
@@ -145,6 +150,24 @@ def test_sonet_fastpath_roundtrip():
     assert result.rx.fcs_errors == 0
 
 
+def test_sonet_fastpath_batches_form_one_scrambled_stream():
+    """Successive encode batches continue one x^43 stream, so a
+    behavioural receiver that never restarts its descrambler recovers
+    every frame across the batch boundary."""
+    tx = SonetFastpath(3)
+    first = ppp_frame_contents(40, seed=1)
+    second = ppp_frame_contents(40, seed=2)
+    lines = tx.encode(first) + tx.encode(second)
+    rx = PppOverSonet(3)
+    assert rx.receive_line(b"".join(lines)) == first + second
+    assert rx.hdlc_stats.frames_ok == 80
+    assert rx.hdlc_stats.fcs_errors == 0
+    # And the fastpath's own receiver stays in step batch after batch.
+    path = SonetFastpath(3)
+    for contents in (first, second):
+        assert path.roundtrip(contents).recovered == contents
+
+
 def test_adapter_topology_matches_direct_engine_calls():
     config = P5Config()
     modules, channels = build_fastpath_loopback(config)
@@ -159,3 +182,135 @@ def test_adapter_topology_matches_direct_engine_calls():
     assert rx_mod.result.frames_ok == direct.frames_ok
     with pytest.raises(ValueError):
         source.submit(b"")
+
+
+# ---------------------------------------------------------------------------
+# Differential properties: the bytes-native kernels against the reference
+
+#: The configs the kernels special-case: default, an MRU cut, every
+#: control octet escaped, and a custom flag and escape.
+ROUND_TRIP_CONFIGS = [
+    P5Config(),
+    P5Config(max_frame_octets=64),
+    P5Config(accm_mask=0xFFFFFFFF),
+    P5Config(flag_octet=0x5A, esc_octet=0x31),
+]
+#: Plus an ACCM that makes a replace chain inexact (0x11 escapes to
+#: ``31 31``), forcing the regex stuffer and the run-parity destuffer.
+#: It cannot round-trip: a body ending in 0x11 ends ``31 31``, which
+#: the receiver reads as an abort, exactly like the cycle model.
+PROPERTY_CONFIGS = ROUND_TRIP_CONFIGS + [
+    P5Config(flag_octet=0x5A, esc_octet=0x31, accm_mask=1 << 0x11),
+]
+_HOSTILE = [0x7E, 0x7D, 0x5E, 0x5D, 0x00, 0x21, 0x41]
+
+
+def _alphabet(config):
+    extra = [config.flag_octet, config.esc_octet]
+    return sorted(set(_HOSTILE + extra + [v ^ 0x20 for v in extra]))
+
+
+def _reference_decode(engine, line):
+    """``decode_stream`` with every body through the run-parity kernel."""
+    config = engine.config
+    ref = FastpathRxResult()
+    flags = [i for i, octet in enumerate(line) if octet == config.flag_octet]
+    if not flags:
+        ref.octets_discarded_hunting = len(line)
+        return ref
+    ref.octets_discarded_hunting = flags[0]
+    ref.open_tail_octets = len(line) - flags[-1] - 1
+    for start, end in zip(flags, flags[1:]):
+        body = line[start + 1 : end]
+        if not body:
+            ref.empty_bodies += 1
+            continue
+        cap = config.max_frame_octets
+        if cap and len(body) > cap:
+            ref.oversize_drops += 1
+            ref.octets_discarded_hunting += len(body) - (cap + 1)
+            body = body[: cap + 1]
+        elif body[-1] == config.esc_octet:
+            ref.aborts += 1
+            continue
+        clear, deleted = engine._destuff(np.frombuffer(body, dtype=np.uint8))
+        ref.octets_deleted += deleted
+        if len(clear) <= engine.fcs_octets:
+            ref.runt_frames += 1
+            continue
+        good = engine._residue_ok(clear)
+        ref.frames_ok += good
+        ref.fcs_errors += not good
+        ref.frames.append((clear[: -engine.fcs_octets], good))
+    return ref
+
+
+def _cases(configs, examples):
+    """``(config, example)`` pairs, the example drawn from ``examples(config)``."""
+    return st.sampled_from(configs).flatmap(lambda c: st.tuples(st.just(c), examples(c)))
+
+
+def _octets(config, **size):
+    return st.lists(st.sampled_from(_alphabet(config)), **size).map(bytes)
+
+
+def _frames(config):
+    # <= 28 octets + FCS stuffs to <= 64, inside the MRU cut.
+    return st.lists(_octets(config, min_size=1, max_size=28), min_size=1, max_size=8)
+
+
+def _stream(config):
+    """Hostile octets with whole encoded frames spliced in, so good,
+    bad, aborted, runt and oversize bodies all occur."""
+    engine = FastpathEngine(config)
+    frame = _octets(config, min_size=1, max_size=40).map(engine.encode_frame)
+    piece = st.one_of(_octets(config, max_size=40), frame)
+    return st.lists(piece, max_size=8).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases(PROPERTY_CONFIGS, _stream))
+def test_decode_stream_matches_run_parity_reference(case):
+    config, line = case
+    engine = FastpathEngine(config)
+    got = dataclasses.asdict(engine.decode_stream(line))
+    assert got == dataclasses.asdict(_reference_decode(engine, line))
+
+
+def _bodies(engine, contents):
+    return [c + engine.fcs_of(c).to_bytes(engine.fcs_octets, "little") for c in contents]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases(PROPERTY_CONFIGS, _frames))
+def test_encode_frames_matches_octet_stuffing(case):
+    config, contents = case
+    engine = FastpathEngine(config)
+    tx = engine.encode_frames(contents)
+    flag, esc = bytes([config.flag_octet]), config.esc_octet
+    bodies = _bodies(engine, contents)
+    stuffed = [
+        b"".join(
+            bytes([esc, o ^ 0x20]) if o in config.escape_octets else bytes([o])
+            for o in body
+        )
+        for body in bodies
+    ]
+    assert tx.line == b"".join(flag + s + flag for s in stuffed)
+    growth = sum(len(s) - len(b) for s, b in zip(stuffed, bodies))
+    assert tx.octets_escaped == growth
+    if (config.flag_octet, esc) == (FLAG_OCTET, ESC_OCTET):
+        accm = Accm(config.accm_mask)
+        assert growth == sum(stuffed_length(b, accm) - len(b) for b in bodies)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases(ROUND_TRIP_CONFIGS, _frames))
+def test_encode_decode_round_trip(case):
+    config, contents = case
+    engine = FastpathEngine(config)
+    tx = engine.encode_frames(contents)
+    rx = engine.decode_stream(tx.line)
+    assert rx.good_frames() == contents
+    assert rx.fcs_errors == rx.aborts == rx.runt_frames == rx.oversize_drops == 0
+    assert rx.octets_deleted == tx.octets_escaped

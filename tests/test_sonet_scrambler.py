@@ -1,9 +1,11 @@
 """Unit tests for the SONET scramblers."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sonet.scrambler import FrameSyncScrambler, SelfSyncScrambler
+from repro.sonet.rates import StsRate
+from repro.sonet.scrambler import FrameSyncScrambler, SelfSyncScrambler, _lfsr_bytes
 
 
 class TestFrameSync:
@@ -29,6 +31,13 @@ class TestFrameSync:
         data = rng.integers(0, 256, 500, dtype=np.uint8)
         scrambler = FrameSyncScrambler()
         assert np.array_equal(scrambler.apply(scrambler.apply(data)), data)
+
+    def test_tiled_period_matches_per_bit_lfsr_at_sts48(self):
+        """The 127-byte period, tiled, is the bit-by-bit keystream."""
+        frame_bytes = 9 * StsRate(48).columns
+        assert np.array_equal(
+            FrameSyncScrambler().sequence(frame_bytes), _lfsr_bytes(frame_bytes)
+        )
 
     def test_balanced_output(self):
         """Roughly half the keystream bits are ones (DC balance)."""
@@ -102,3 +111,61 @@ class TestSelfSync:
     def test_empty(self):
         assert SelfSyncScrambler().scramble(b"") == b""
         assert SelfSyncScrambler().descramble(b"") == b""
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against the bit-level recurrence
+
+
+def _bits(data):
+    return [(octet >> (7 - k)) & 1 for octet in data for k in range(8)]
+
+
+def _octets(bits):
+    return bytes(
+        sum(bit << (7 - k) for k, bit in enumerate(bits[i : i + 8]))
+        for i in range(0, len(bits), 8)
+    )
+
+
+def _oracle_scramble(data):
+    """``out[i] = in[i] ^ out[i-43]`` from an all-zero history."""
+    out = [0] * 43
+    for bit in _bits(data):
+        out.append(bit ^ out[-43])
+    return _octets(out[43:])
+
+
+def _oracle_descramble(data):
+    """``out[i] = in[i] ^ in[i-43]`` from an all-zero history."""
+    seen = [0] * 43 + _bits(data)
+    return _octets([seen[i + 43] ^ seen[i] for i in range(len(seen) - 43)])
+
+
+@st.composite
+def _chunked(draw):
+    """Data and a split of it into chunks, many shorter than 43 bits."""
+    data = draw(st.binary(max_size=120))
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=12), max_size=20))
+    chunks, at = [], 0
+    for size in sizes:
+        chunks.append(data[at : at + size])
+        at += size
+    chunks.append(data[at:])
+    return data, chunks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chunked())
+def test_scramble_matches_bit_recurrence_under_any_split(case):
+    data, chunks = case
+    tx = SelfSyncScrambler()
+    assert b"".join(tx.scramble(c) for c in chunks) == _oracle_scramble(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chunked())
+def test_descramble_matches_bit_recurrence_under_any_split(case):
+    data, chunks = case
+    rx = SelfSyncScrambler()
+    assert b"".join(rx.descramble(c) for c in chunks) == _oracle_descramble(data)
