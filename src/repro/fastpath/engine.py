@@ -6,14 +6,14 @@ expressed as C-level ``bytes`` operations, a handful per frame rather
 than any per-octet Python:
 
 * **TX** — each frame's body (content plus an FCS from
-  :func:`zlib.crc32`, bit-identical to FCS-32, see
-  :mod:`repro.crc.polynomial`) is stuffed by a chain of
+  :class:`~repro.crc.table.TableCrc`, which runs FCS-32 on
+  :func:`zlib.crc32`) is stuffed by a chain of
   ``bytes.replace`` calls, escape octet first, and the whole batch is
   joined with its flags in one ``b"".join``.
 * **RX** — the wire stream is delineated with ``find``/``rfind``/
   ``split`` on the flag; each body is destuffed by the inverse
   ``replace`` chain, accepted only when it deleted exactly one octet
-  per escape, and residue-checked with :func:`zlib.crc32`.  Input the
+  per escape, and residue-checked with the same CRC kernel.  Input the
   chain cannot decode exactly (non-conforming ``7D 7D`` chains, an
   escape before an octet that never needed one) falls back to the
   run-parity kernel :meth:`FastpathEngine._destuff`, which reproduces
@@ -31,7 +31,6 @@ equivalence run by run.
 from __future__ import annotations
 
 import re
-import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -111,17 +110,11 @@ class FastpathEngine:
         self.config = config or P5Config()
         spec = self.config.fcs
         self.fcs_octets = spec.width // 8
-        # zlib.crc32 *is* FCS-32 (CRC-32/ISO-HDLC): reflected, init and
-        # xorout all-ones.  Any other spec takes the table engine.
-        self._zlib_ok = (
-            spec.width == 32
-            and spec.poly == 0x04C11DB7
-            and spec.refin
-            and spec.refout
-            and spec.init == 0xFFFFFFFF
-            and spec.xorout == 0xFFFFFFFF
-        )
-        self._table = None if self._zlib_ok else TableCrc(spec)
+        # The CRC engine's one-shot kernel, bound once: zlib.crc32
+        # itself for FCS-32.  A good frame's CRC over content + FCS is
+        # the magic residue with xorout applied.
+        self._fcs = TableCrc(spec).crc_of
+        self._good_crc = spec.residue ^ spec.xorout
         self._flag = bytes([self.config.flag_octet])
         self._esc = bytes([self.config.esc_octet])
         # Stuffing pairs (octet, escaped form), the escape octet first
@@ -152,18 +145,11 @@ class FastpathEngine:
     # ------------------------------------------------------------------- CRC
     def fcs_of(self, content: bytes) -> int:
         """The published FCS of one frame's content."""
-        if self._zlib_ok:
-            return zlib.crc32(content)
-        return self._table.compute(content)
+        return self._fcs(content)
 
     def _residue_ok(self, clear: bytes) -> bool:
         """Magic-residue test over content + transmitted FCS."""
-        spec = self.config.fcs
-        if self._zlib_ok:
-            return (zlib.crc32(clear) ^ 0xFFFFFFFF) == spec.residue
-        self._table.reset()
-        self._table.update(clear)
-        return self._table.residue_value() == spec.residue
+        return self._fcs(clear) == self._good_crc
 
     # -------------------------------------------------------------------- TX
     def encode_frame(self, content: bytes) -> bytes:

@@ -20,9 +20,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.crc import CRC16_XMODEM, TableCrc
 from repro.errors import FcsError, FramingError
-from repro.gfp.frame import CORE_SCRAMBLE, GfpFrame
+from repro.gfp.frame import CORE_SCRAMBLE_WORD, GfpFrame, hec
 from repro.rtl.module import ChannelTiming, TimingContract
 
 __all__ = ["GfpState", "GfpStats", "GfpDelineator"]
@@ -36,10 +35,6 @@ class GfpState(enum.Enum):
     SYNC = "sync"
 
 
-def _crc16(data: bytes) -> int:
-    return TableCrc(CRC16_XMODEM).compute(data)
-
-
 def _syndrome_table() -> Dict[int, int]:
     """Map cHEC syndrome -> flipped-bit index (0..31, MSB-first header).
 
@@ -51,7 +46,7 @@ def _syndrome_table() -> Dict[int, int]:
     for bit in range(32):
         error = bytearray(4)
         error[bit // 8] = 0x80 >> (bit % 8)
-        syndrome = _crc16(bytes(error[:2])) ^ int.from_bytes(error[2:4], "big")
+        syndrome = hec(bytes(error[:2])) ^ int.from_bytes(error[2:4], "big")
         table[syndrome] = bit
     return table
 
@@ -116,18 +111,16 @@ class GfpDelineator:
     # ------------------------------------------------------------------ hunt
     def _header_pli(self, window: bytes, *, correct: bool) -> int:
         """Validate a candidate core header; returns PLI or raises."""
-        raw = bytes(a ^ b for a, b in zip(window, CORE_SCRAMBLE))
-        pli = int.from_bytes(raw[0:2], "big")
-        carried = int.from_bytes(raw[2:4], "big")
-        syndrome = _crc16(raw[0:2]) ^ carried
+        raw = int.from_bytes(window, "big") ^ CORE_SCRAMBLE_WORD
+        pli = raw >> 16
+        syndrome = hec(pli.to_bytes(2, "big")) ^ (raw & 0xFFFF)
         if syndrome == 0:
             return pli
         if correct and self.correct_single_bit and syndrome in _SYNDROMES:
-            bit = _SYNDROMES[syndrome]
-            fixed = bytearray(raw)
-            fixed[bit // 8] ^= 0x80 >> (bit % 8)
+            # Bit 0 is the MSB of the 32-bit header.
+            fixed = raw ^ (1 << (31 - _SYNDROMES[syndrome]))
             self.stats.corrected_headers += 1
-            return int.from_bytes(fixed[0:2], "big")
+            return fixed >> 16
         raise FramingError("cHEC mismatch")
 
     def _hunt(self) -> bool:

@@ -23,10 +23,20 @@ from dataclasses import dataclass
 from repro.crc import CRC16_XMODEM, CRC32, TableCrc
 from repro.errors import FcsError, FramingError
 
-__all__ = ["GfpType", "GfpFrame", "core_header", "idle_frame", "CORE_SCRAMBLE"]
+__all__ = [
+    "GfpType",
+    "GfpFrame",
+    "core_header",
+    "idle_frame",
+    "hec",
+    "CORE_SCRAMBLE",
+    "CORE_SCRAMBLE_WORD",
+]
 
 #: The core-header scramble word (G.7041 §6.1.2.2).
 CORE_SCRAMBLE = bytes([0xB6, 0xAB, 0x31, 0xE0])
+#: The same word as one 32-bit int, MSB first.
+CORE_SCRAMBLE_WORD = int.from_bytes(CORE_SCRAMBLE, "big")
 
 #: Payload-type identifier for client data with / without payload FCS.
 _PTI_CLIENT_DATA = 0b000
@@ -39,21 +49,18 @@ class GfpType(enum.IntEnum):
     ETHERNET = 0x01
 
 
-def _crc16(data: bytes) -> int:
-    return TableCrc(CRC16_XMODEM).compute(data)
-
-
-def _crc32(data: bytes) -> int:
-    return TableCrc(CRC32).compute(data)
+#: Stateless one-shot kernels of module-level engines: the HEC
+#: (cHEC/tHEC, also used by the delineator) and the payload FCS.
+hec = TableCrc(CRC16_XMODEM).crc_of
+_crc32 = TableCrc(CRC32).crc_of
 
 
 def core_header(pli: int) -> bytes:
     """Build the 4-byte scrambled core header for payload length ``pli``."""
     if not 0 <= pli <= 0xFFFF:
         raise ValueError("PLI is a 16-bit length")
-    raw = pli.to_bytes(2, "big")
-    raw += _crc16(raw).to_bytes(2, "big")
-    return bytes(a ^ b for a, b in zip(raw, CORE_SCRAMBLE))
+    header = (pli << 16) | hec(pli.to_bytes(2, "big"))
+    return (header ^ CORE_SCRAMBLE_WORD).to_bytes(4, "big")
 
 
 def idle_frame() -> bytes:
@@ -77,7 +84,7 @@ class GfpFrame:
     def encode(self) -> bytes:
         """Serialise to wire bytes (core header + payload area)."""
         type_bytes = self.type_field.to_bytes(2, "big")
-        area = type_bytes + _crc16(type_bytes).to_bytes(2, "big") + self.payload
+        area = type_bytes + hec(type_bytes).to_bytes(2, "big") + self.payload
         if self.with_pfcs:
             area += _crc32(self.payload).to_bytes(4, "big")
         return core_header(len(area)) + area
@@ -89,8 +96,8 @@ class GfpFrame:
             raise FramingError("GFP payload area shorter than its header")
         type_field = int.from_bytes(area[0:2], "big")
         thec = int.from_bytes(area[2:4], "big")
-        if _crc16(area[0:2]) != thec:
-            raise FcsError(thec, _crc16(area[0:2]), "GFP tHEC failed")
+        if hec(area[0:2]) != thec:
+            raise FcsError(thec, hec(area[0:2]), "GFP tHEC failed")
         pfi = (type_field >> 12) & 1
         upi = type_field & 0xFF
         body = area[4:]

@@ -5,17 +5,18 @@ hardware performs — here as the *behavioural golden model* the
 cycle-accurate pipelines in :mod:`repro.core.escape_pipeline` are
 checked against.
 
-Two implementations are provided:
+Two implementations of each direction are provided:
 
 * a legible scalar reference (``_stuff_scalar`` / ``_unstuff_scalar``);
-* a numpy-vectorised bulk path used automatically for larger buffers,
-  following the HPC guidance of vectorising the hot loop (stuffing is
-  applied to every payload byte of every frame in the benchmarks).
+* :func:`stuff` is a ``bytes.replace`` chain, one pass per escapable
+  octet, and :func:`unstuff` takes a numpy-vectorised bulk path for
+  larger buffers (destuffing is applied to every received byte).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from functools import lru_cache
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from repro.hdlc.constants import ESCAPE_XOR, ESC_OCTET, FLAG_OCTET
 
 __all__ = ["escape_set", "stuff", "unstuff", "stuffed_length"]
 
-#: Buffers at least this large take the vectorised path.
+#: Buffers at least this large take the vectorised paths.
 _VECTOR_THRESHOLD = 64
 
 _MANDATORY = frozenset({FLAG_OCTET, ESC_OCTET})
@@ -65,19 +66,11 @@ def _stuff_scalar(data: bytes, escapes: FrozenSet[int]) -> bytes:
     return bytes(out)
 
 
-def _stuff_vector(data: bytes, escapes: FrozenSet[int]) -> bytes:
-    arr = np.frombuffer(data, dtype=np.uint8)
-    needs = np.isin(arr, np.fromiter(escapes, dtype=np.uint8))
-    if not needs.any():
-        return data
-    # Each input byte lands at its index plus the number of escapes
-    # inserted before it; escaped bytes occupy two slots.
-    offsets = np.cumsum(needs) - needs        # escapes strictly before i
-    positions = np.arange(arr.size) + offsets
-    out = np.empty(arr.size + int(needs.sum()), dtype=np.uint8)
-    out[positions] = np.where(needs, ESC_OCTET, arr)
-    out[positions[needs] + 1] = arr[needs] ^ ESCAPE_XOR
-    return out.tobytes()
+@lru_cache(maxsize=None)
+def _stuff_pairs(escapes: FrozenSet[int]) -> Tuple[Tuple[bytes, bytes], ...]:
+    """``(octet, escaped form)`` per escapable octet, the escape octet first."""
+    order = [ESC_OCTET] + sorted(escapes - {ESC_OCTET})
+    return tuple((bytes([v]), bytes([ESC_OCTET, v ^ ESCAPE_XOR])) for v in order)
 
 
 def stuff(data: bytes, accm: Optional[Accm] = None) -> bytes:
@@ -85,11 +78,15 @@ def stuff(data: bytes, accm: Optional[Accm] = None) -> bytes:
 
     ``0x7E`` becomes ``0x7D 0x5E``, ``0x7D`` becomes ``0x7D 0x5D``, and
     any ACCM-selected control octet ``c`` becomes ``0x7D, c ^ 0x20``.
+    One ``bytes.replace`` pass per escapable octet, the escape octet
+    first, is exact: the escaped forms' second octets (``0x5D``,
+    ``0x5E`` and ``0x20``-``0x3F``) are never escapable, so no pass
+    matches what an earlier pass wrote.
     """
-    escapes = escape_set(accm)
-    if len(data) >= _VECTOR_THRESHOLD:
-        return _stuff_vector(data, escapes)
-    return _stuff_scalar(data, escapes)
+    out = bytes(data)
+    for octet, escaped in _stuff_pairs(escape_set(accm)):
+        out = out.replace(octet, escaped)
+    return out
 
 
 # ------------------------------------------------------------------- unstuff

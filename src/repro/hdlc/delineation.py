@@ -3,11 +3,13 @@
 The whole-frame :class:`~repro.hdlc.framer.HdlcFramer` assumes it is
 handed complete frames; real receivers see an unaligned octet stream
 (possibly mid-frame at power-up, possibly corrupted).  The
-:class:`Delineator` consumes octets one at a time, exactly like the
-P5 receiver's front end consumes the PHY stream, and emits decoded
-frames while accounting every discard reason in
-:class:`DelineatorStats` — the counters the Protocol OAM block exposes
-to the host microprocessor.
+:class:`Delineator` consumes that stream, exactly like the P5
+receiver's front end consumes the PHY stream, and emits decoded frames
+while accounting every discard reason in :class:`DelineatorStats` —
+the counters the Protocol OAM block exposes to the host
+microprocessor.  :meth:`Delineator.push` is the readable one-octet
+reference; :meth:`Delineator.push_bytes` does the same with C-level
+``split`` on the flag.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro.errors import (
 )
 from repro.hdlc.constants import FLAG_OCTET
 from repro.hdlc.framer import DecodedFrame, HdlcFramer
+
+_FLAG = bytes([FLAG_OCTET])
 
 __all__ = ["Delineator", "DelineatorStats"]
 
@@ -57,10 +61,10 @@ class Delineator:
     """Octet-streaming HDLC frame delineator.
 
     Feed octets with :meth:`push` / :meth:`push_bytes`; completed,
-    FCS-verified frames are returned (and also appended to
-    :attr:`frames`).  The machine starts in *hunt* state and discards
-    octets until the first flag, as hardware must after power-up or
-    loss of synchronisation.
+    FCS-verified frames are returned.  The machine starts in *hunt*
+    state and discards octets until the first flag, as hardware must
+    after power-up or loss of synchronisation.  The only state carried
+    between calls is the open frame body; decoded frames are not kept.
 
     Parameters
     ----------
@@ -74,7 +78,6 @@ class Delineator:
     def __post_init__(self) -> None:
         self._synced = False
         self._body = bytearray()
-        self.frames: List[DecodedFrame] = []
 
     @property
     def in_sync(self) -> bool:
@@ -115,17 +118,41 @@ class Delineator:
             self.stats.framing_errors += 1
         else:
             self.stats.frames_ok += 1
-            self.frames.append(frame)
             return frame
         return None
 
     def push_bytes(self, data: Iterable[int]) -> List[DecodedFrame]:
-        """Consume a buffer; return the frames completed within it."""
+        """Consume a buffer; return the frames completed within it.
+
+        Equivalent to :meth:`push` on each octet, counters included:
+        the buffer is split on the flag, every piece but the last
+        closes a body (the first one continuing the carried body), and
+        the last piece is carried open into the next call.
+        """
+        data = bytes(data)
+        stats = self.stats
+        stats.octets_in += len(data)
+        pieces = data.split(_FLAG)
+        if not self._synced:
+            # Everything before the first flag is hunt discard; the
+            # first flag opens an empty body.
+            stats.octets_discarded_hunting += len(pieces[0])
+            if len(pieces) == 1:
+                return []
+            self._synced = True
+            pieces[0] = b""
+        if len(pieces) == 1:
+            self._body += pieces[0]
+            return []
+        pieces[0] = bytes(self._body) + pieces[0]
+        self._body = bytearray(pieces.pop())
         completed: List[DecodedFrame] = []
-        for octet in data:
-            frame = self.push(octet)
-            if frame is not None:
-                completed.append(frame)
+        for body in pieces:
+            # An empty body is inter-frame idle, not a frame.
+            if body:
+                frame = self._finish(body)
+                if frame is not None:
+                    completed.append(frame)
         return completed
 
     def flush(self) -> None:

@@ -105,7 +105,7 @@ class HdlcFramer:
     # ---------------------------------------------------------------- encode
     def compute_fcs(self, content: bytes) -> int:
         """FCS over the unstuffed frame content (addr..information)."""
-        return self._crc.compute(content)
+        return self._crc.crc_of(content)
 
     def encode(self, content: bytes, *, leading_flag: bool = True) -> bytes:
         """Build the on-wire frame: ``[7E] stuffed(content + FCS) 7E``.
@@ -149,9 +149,9 @@ class HdlcFramer:
         if carried != computed:
             raise FcsError(carried, computed)
         # Cross-check via the RFC 1662 magic-residue method: CRC over
-        # content *plus* trailer must equal the spec's residue.
-        residue = TableCrc(self.fcs_spec).update(clear).residue_value()
-        if residue != self.fcs_spec.residue:
+        # content *plus* trailer must equal the spec's residue (here
+        # with xorout applied, as the one-shot kernel publishes it).
+        if self._crc.crc_of(clear) != self.fcs_spec.residue ^ self.fcs_spec.xorout:
             raise FcsError(carried, computed, "FCS residue check failed")
         return DecodedFrame(
             content=content,

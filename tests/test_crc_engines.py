@@ -1,5 +1,6 @@
 """Unit tests for the three CRC engines and the polynomial registry."""
 
+import binascii
 import zlib
 
 import pytest
@@ -9,6 +10,7 @@ from repro.crc import (
     CRC16_CCITT_FALSE,
     CRC16_KERMIT,
     CRC16_X25,
+    CRC16_XMODEM,
     CRC32,
     BitSerialCrc,
     CrcSpec,
@@ -17,6 +19,7 @@ from repro.crc import (
     get_spec,
     registered_specs,
 )
+from repro.crc.table import _table
 from repro.crc.verify import check_known_value, compare_engines
 
 ALL_SPECS = [CRC8, CRC16_CCITT_FALSE, CRC16_KERMIT, CRC16_X25, CRC32]
@@ -120,6 +123,25 @@ class TestTable:
         crc = TableCrc(CRC32)
         crc.update(msg + fcs.to_bytes(4, "little"))
         assert crc.residue_value() == CRC32.residue
+
+    def test_dispatch_arms(self):
+        """Both C kernels and the table loop are in use among the specs."""
+        assert TableCrc(CRC32).crc_of is zlib.crc32
+        assert TableCrc(CRC16_XMODEM)._step is binascii.crc_hqx
+        assert TableCrc(CRC16_CCITT_FALSE)._step is binascii.crc_hqx
+        for spec in (CRC8, CRC16_KERMIT, CRC16_X25):
+            assert TableCrc(spec)._step.__name__ == "step"
+
+    def test_table_built_once_per_spec(self):
+        assert _table(CRC16_X25) is _table(CRC16_X25)
+        table = _table(CRC16_X25)
+        assert len(table) == 256 and all(type(v) is int for v in table)
+
+    def test_sub_byte_width_falls_back_to_bitserial(self):
+        crc5 = CrcSpec("CRC-5/USB", 5, 0x05, 0x1F, True, True, 0x1F, 0x19, 0x06)
+        crc = TableCrc(crc5)
+        crc.update(b"1234").update(b"56789")
+        assert crc.value() == crc5.check == crc.crc_of(b"123456789")
 
 
 class TestParallel:

@@ -1,9 +1,18 @@
 """Property-based tests (hypothesis) for the CRC engines."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crc import CRC16_X25, CRC32, BitSerialCrc, ParallelCrc, TableCrc
+from repro.crc import (
+    CRC16_X25,
+    CRC32,
+    BitSerialCrc,
+    ParallelCrc,
+    TableCrc,
+    get_spec,
+    registered_specs,
+)
 
 payloads = st.binary(min_size=0, max_size=400)
 
@@ -64,3 +73,22 @@ def test_streaming_split_invariance(a, b):
 def test_parallel_widths_consistent(data):
     values = {ParallelCrc(CRC32, w).compute(data) for w in (8, 16, 32, 64)}
     assert len(values) == 1
+
+
+@pytest.mark.parametrize("name", registered_specs())
+@given(chunks=st.lists(st.binary(max_size=40), max_size=6))
+@settings(max_examples=40)
+def test_table_matches_bitserial_under_any_chunking(name, chunks):
+    """Every dispatch arm (zlib, crc_hqx, table loop) is the LFSR.
+
+    ``value()`` and ``residue_value()`` must agree after every chunk,
+    and the one-shot kernel must agree on the concatenation.
+    """
+    spec = get_spec(name)
+    table, serial = TableCrc(spec), BitSerialCrc(spec)
+    for chunk in chunks:
+        table.update(chunk)
+        serial.update(chunk)
+        assert table.value() == serial.value()
+        assert table.residue_value() == serial.residue_value()
+    assert table.crc_of(b"".join(chunks)) == serial.value()

@@ -1,6 +1,5 @@
 """Unit tests for the GFP baseline framing (G.7041)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +112,17 @@ class TestDelineation:
         assert len(got) == 6            # nothing lost
         assert d.stats.corrected_headers == 1
         assert d.stats.resyncs == 0
+
+    def test_every_header_bit_position_corrected(self):
+        payloads = [bytes(range(40))] * 5
+        wire = self._wire(payloads, idles=4)
+        offset = 4 * 4 + 2 * len(GfpFrame(payloads[0]).encode())
+        for bit in range(32):
+            damaged = bytearray(wire)
+            damaged[offset + bit // 8] ^= 0x80 >> (bit % 8)
+            d = GfpDelineator()
+            assert [g.payload for g in d.feed(bytes(damaged))] == payloads, f"bit={bit}"
+            assert d.stats.corrected_headers == 1
 
     def test_correction_disabled(self, rng):
         payloads = [b"abcdef"] * 6

@@ -45,9 +45,8 @@ class TestHunting:
 class TestStreaming:
     def test_byte_at_a_time(self, delineator, framer):
         content = b"\xff\x03" + bytes(range(64))
-        for octet in framer.encode(content):
-            delineator.push(octet)
-        assert [f.content for f in delineator.frames] == [content]
+        returned = [delineator.push(octet) for octet in framer.encode(content)]
+        assert [f.content for f in returned if f is not None] == [content]
 
     def test_back_to_back_frames(self, delineator, framer):
         contents = [b"\xff\x03" + bytes([i]) * 10 for i in range(5)]

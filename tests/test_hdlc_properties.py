@@ -5,7 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crc import CRC16_X25, CRC32
-from repro.hdlc import Delineator, HdlcFramer, bit_stuff, bit_unstuff, stuff, unstuff
+from repro.hdlc import (
+    Accm,
+    Delineator,
+    HdlcFramer,
+    bit_stuff,
+    bit_unstuff,
+    escape_set,
+    stuff,
+    unstuff,
+)
+from repro.hdlc.byte_stuffing import _stuff_scalar
 from repro.hdlc.constants import ESC_OCTET, FLAG_OCTET
 
 payloads = st.binary(min_size=0, max_size=500)
@@ -33,6 +43,14 @@ def test_stuff_expansion_exact(data):
     assert len(stuff(data)) == len(data) + specials
 
 
+@given(data=payloads, mask=st.integers(0, 0xFFFFFFFF))
+def test_stuff_matches_scalar_reference_under_any_accm(data, mask):
+    # The replace chain must equal the per-octet walk for every ACCM.
+    accm = Accm(mask)
+    assert stuff(data, accm) == _stuff_scalar(data, escape_set(accm))
+    assert unstuff(stuff(data, accm)) == data
+
+
 @given(data=st.binary(min_size=1, max_size=300))
 def test_frame_round_trip_both_fcs(data):
     for spec in (CRC16_X25, CRC32):
@@ -58,8 +76,7 @@ def test_delineator_recovers_all_frames_after_junk(contents, junk):
     framer = HdlcFramer(CRC32)
     wire = junk.replace(bytes([FLAG_OCTET]), b"\x00") + framer.encode_stream(contents)
     delineator = Delineator(framer=HdlcFramer(CRC32))
-    delineator.push_bytes(wire)
-    got = [f.content for f in delineator.frames]
+    got = [f.content for f in delineator.push_bytes(wire)]
     assert got == contents
 
 
@@ -114,3 +131,44 @@ def test_adversarial_payloads_reach_but_never_break_the_bound():
     for octet in (FLAG_OCTET, ESC_OCTET):
         payload = bytes([octet]) * 256
         assert len(stuff(payload)) == int(bound * len(payload))
+
+
+_FLAG = bytes([FLAG_OCTET])
+_ESC = bytes([ESC_OCTET])
+#: Small MRU guard so oversize bodies are cheap to draw.
+_MAX_CONTENT = 12
+
+
+def _hostile_segment(framer):
+    """One piece of a hostile receive stream."""
+    return st.one_of(
+        st.binary(max_size=12),                                          # junk, flags included
+        st.binary(min_size=1, max_size=24).map(                          # good, or over the MRU
+            lambda content: framer.encode(content, leading_flag=False)
+        ),
+        st.sampled_from([_ESC + _ESC, _ESC + _FLAG, _ESC]),              # 7D 7D, abort, bare escape
+        st.binary(max_size=3).map(lambda body: body + _FLAG),            # runts
+        st.integers(min_value=1, max_value=6).map(lambda n: _FLAG * n),  # idle flag runs
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=200)
+def test_push_bytes_matches_per_octet_push(data):
+    """Any chunking through ``push_bytes`` is ``push`` octet by octet."""
+    spec = data.draw(st.sampled_from([CRC16_X25, CRC32]))
+    framer = HdlcFramer(spec, max_content=_MAX_CONTENT)
+    stream = b"".join(data.draw(st.lists(_hostile_segment(framer), max_size=12)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+
+    reference = Delineator(framer=HdlcFramer(spec, max_content=_MAX_CONTENT))
+    expected = [f for f in map(reference.push, stream) if f is not None]
+    chunked = Delineator(framer=HdlcFramer(spec, max_content=_MAX_CONTENT))
+    got = []
+    for start, end in zip([0] + cuts, cuts + [len(stream)]):
+        got += chunked.push_bytes(stream[start:end])
+
+    assert got == expected
+    assert chunked.stats == reference.stats
+    assert chunked.in_sync == reference.in_sync
+    assert chunked._body == reference._body

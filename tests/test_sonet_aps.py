@@ -1,6 +1,5 @@
 """Unit tests for 1+1 automatic protection switching."""
 
-import numpy as np
 import pytest
 
 from repro.sonet import SonetFramer, SonetRxFramer

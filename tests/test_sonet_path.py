@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hdlc import Delineator
 from repro.sonet import PppOverSonet
 from repro.workloads import ppp_frame_contents
 
@@ -71,3 +72,31 @@ class TestMisalignment:
         # frame is lost to HDLC hunting; everything after is intact.
         assert got == frames[1:]
         assert path.hdlc_stats.octets_discarded_hunting > 0
+
+
+class TestBoundedReceiveState:
+    def test_delineator_holds_no_per_frame_state(self):
+        """2000 frames line frame by line frame: only the open body is carried."""
+        path = PppOverSonet(3)
+        frames = ppp_frame_contents(2000, seed=8)
+        longest_wire = max(len(path.hdlc.encode(frame)) for frame in frames)
+        for frame in frames:
+            path.queue_frame(frame)
+        got = []
+        for _ in range(1000):
+            got += path.receive_line(path.next_line_frame())
+            assert len(path.delineator._body) < longest_wire
+            if len(got) >= len(frames):
+                break
+        assert got == frames
+        assert path.hdlc_stats.total_errors() == 0
+        assert not hasattr(path.delineator, "frames")
+
+    def test_flagless_stream_while_hunting_carries_nothing(self):
+        delineator = Delineator()
+        junk = bytes(v for v in range(256) if v != 0x7E)
+        for _ in range(100):
+            assert delineator.push_bytes(junk) == []
+        assert not delineator.in_sync
+        assert delineator._body == b""
+        assert delineator.stats.octets_discarded_hunting == 100 * len(junk)
