@@ -22,64 +22,70 @@ See ``examples/`` for full scenarios and ``benchmarks/`` for the
 table/figure reproductions.
 """
 
-from repro._version import __version__
-from repro.errors import ReproError
-from repro.core import (
-    P5Config,
-    P5Receiver,
-    P5System,
-    P5Transmitter,
-    PipelinedEscapeDetect,
-    PipelinedEscapeGenerate,
-    ProtocolOam,
-    run_duplex_exchange,
-)
-from repro.crc import CRC16_X25, CRC32, BitSerialCrc, ParallelCrc, TableCrc
-from repro.hdlc import Delineator, HdlcFramer, stuff, unstuff
-from repro.ppp import (
-    Ipcp,
-    IpcpConfig,
-    Lcp,
-    LcpConfig,
-    PppEndpoint,
-    PPPFrame,
-    connect_endpoints,
-)
-from repro.sonet import PppOverSonet, SonetFramer, SonetRxFramer
+from importlib import import_module
+from typing import Any, List
 
-__all__ = [
-    "__version__",
-    "ReproError",
+from repro._version import __version__
+
+#: Every exported name and the module that defines it.  The modules are
+#: imported on first attribute access (PEP 562), so ``import repro``
+#: alone loads no subpackage: a process that only uses one layer pays
+#: for that layer's imports and nothing else.
+_EXPORTS = {
+    "ReproError": "repro.errors",
     # the P5 core
-    "P5Config",
-    "P5System",
-    "P5Transmitter",
-    "P5Receiver",
-    "PipelinedEscapeGenerate",
-    "PipelinedEscapeDetect",
-    "ProtocolOam",
-    "run_duplex_exchange",
+    "P5Config": "repro.core",
+    "P5System": "repro.core",
+    "P5Transmitter": "repro.core",
+    "P5Receiver": "repro.core",
+    "PipelinedEscapeGenerate": "repro.core",
+    "PipelinedEscapeDetect": "repro.core",
+    "ProtocolOam": "repro.core",
+    "run_duplex_exchange": "repro.core",
     # CRC
-    "CRC16_X25",
-    "CRC32",
-    "BitSerialCrc",
-    "TableCrc",
-    "ParallelCrc",
+    "CRC16_X25": "repro.crc",
+    "CRC32": "repro.crc",
+    "BitSerialCrc": "repro.crc",
+    "TableCrc": "repro.crc",
+    "ParallelCrc": "repro.crc",
     # HDLC
-    "HdlcFramer",
-    "Delineator",
-    "stuff",
-    "unstuff",
+    "HdlcFramer": "repro.hdlc",
+    "Delineator": "repro.hdlc",
+    "stuff": "repro.hdlc",
+    "unstuff": "repro.hdlc",
     # PPP
-    "PPPFrame",
-    "PppEndpoint",
-    "connect_endpoints",
-    "Lcp",
-    "LcpConfig",
-    "Ipcp",
-    "IpcpConfig",
+    "PPPFrame": "repro.ppp",
+    "PppEndpoint": "repro.ppp",
+    "connect_endpoints": "repro.ppp",
+    "Lcp": "repro.ppp",
+    "LcpConfig": "repro.ppp",
+    "Ipcp": "repro.ppp",
+    "IpcpConfig": "repro.ppp",
     # SONET
-    "SonetFramer",
-    "SonetRxFramer",
-    "PppOverSonet",
-]
+    "SonetFramer": "repro.sonet",
+    "SonetRxFramer": "repro.sonet",
+    "PppOverSonet": "repro.sonet",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(import_module(module), name)
+    else:
+        # ``repro.<subpackage>`` resolves on first access too, so
+        # ``import repro; repro.rtl.Simulator`` needs no extra import.
+        try:
+            value = import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

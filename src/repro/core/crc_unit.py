@@ -6,8 +6,14 @@ into the CRC core.  The CRC core computes a 32-bit Frame Check
 Sequence FCS via an 8 x 32-bit parallel matrix (for the 8-bit P5) or
 via a 32 x 32-bit parallel matrix (for the 32-bit P5)."
 
-Two pipeline modules share the :class:`~repro.crc.parallel.ParallelCrc`
-core (which in turn realises the Pei–Zukowski matrices):
+Two pipeline modules absorb one word per cycle into a CRC register.
+The simulation needs only that register's value, so each unit keeps
+it in a :class:`~repro.crc.table.TableCrc` (``zlib.crc32`` for
+FCS-32).  The hardware's 8 x 32 / 32 x 32 XOR matrices are
+:class:`~repro.crc.parallel.ParallelCrc` /
+:class:`~repro.crc.matrix.CrcMatrices`, the netlist source of
+:mod:`repro.synth.area`; a differential test holds the two engines
+equal for every registered spec and datapath width.
 
 * :class:`CrcGenerate` — transmit side: passes frame content through,
   accumulating the FCS one word per cycle, and appends the FCS
@@ -25,7 +31,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.crc import CrcSpec
-from repro.crc.parallel import ParallelCrc
+from repro.crc.table import TableCrc
 from repro.errors import FcsError, FramingError, RuntFrameError
 from repro.rtl.module import Channel, ChannelTiming, Module, TimingContract
 from repro.rtl.pipeline import WordBeat
@@ -56,8 +62,8 @@ class CrcGenerate(Module):
         self.out = self.writes(out)
         self.width_bytes = width_bytes
         self.spec = spec
-        self.core = ParallelCrc(spec, width_bytes * 8)
-        self._carry = bytearray()
+        self.core = TableCrc(spec)
+        self._carry = b""
         self._sof_pending = True
         self.frames_processed = 0
 
@@ -95,54 +101,32 @@ class CrcGenerate(Module):
     def clock(self) -> None:
         if not self.inp.can_pop:
             return
+        beat: WordBeat = self.inp.peek()
+        w = self.width_bytes
+        payload = beat.payload()
+        carry = self._carry + payload
         # Worst case one input word yields 2 output words (tail + FCS);
         # require room for both before consuming, else stall.
-        beat: WordBeat = self.inp.peek()
-        max_words = (len(self._carry) + beat.n_valid + self.fcs_octets) // self.width_bytes + 1
-        if not self._room_for(max_words if beat.eof else 1):
+        room = (len(carry) + self.fcs_octets) // w + 1 if beat.eof else 1
+        if self.out.capacity - self.out.occupancy < room:
             self.note_stall()
             return
         self.inp.pop()
-        payload = beat.payload()
-        self._absorb(payload)
-        self._carry.extend(payload)
+        self.core.update(payload)
         if beat.eof:
-            fcs = self.core.value()
-            self._carry.extend(fcs.to_bytes(self.fcs_octets, "little"))
-            self._emit_all(flush=True)
+            carry += self.core.value().to_bytes(self.fcs_octets, "little")
             self.core.reset()
             self.frames_processed += 1
+            end = len(carry)
         else:
-            self._emit_all(flush=False)
-
-    def _absorb(self, payload: bytes) -> None:
-        if len(payload) == self.width_bytes:
-            self.core.step(payload)
-        elif payload:
-            self.core.step_partial(payload)
-
-    def _room_for(self, words: int) -> bool:
-        return self.out.capacity - self.out.occupancy >= words
-
-    def _emit_all(self, *, flush: bool) -> None:
+            end = len(carry) - len(carry) % w
         first = self._sof_pending
-        while len(self._carry) >= self.width_bytes:
-            word = bytes(self._carry[: self.width_bytes])
-            del self._carry[: self.width_bytes]
-            eof = flush and not self._carry
-            self.out.push(
-                WordBeat.from_bytes(word, self.width_bytes, sof=first, eof=eof)
-            )
+        for off in range(0, end, w):
+            eof = beat.eof and off + w >= end
+            self.out.push(WordBeat.from_bytes(carry[off : off + w], w, sof=first, eof=eof))
             first = False
-        if flush and self._carry:
-            self.out.push(
-                WordBeat.from_bytes(
-                    bytes(self._carry), self.width_bytes, sof=first, eof=True
-                )
-            )
-            self._carry.clear()
-            first = False
-        self._sof_pending = True if flush else first
+        self._carry = carry[end:]
+        self._sof_pending = beat.eof or first
 
 
 class CrcCheck(Module):
@@ -168,8 +152,8 @@ class CrcCheck(Module):
         self.out = self.writes(out)
         self.width_bytes = width_bytes
         self.spec = spec
-        self.core = ParallelCrc(spec, width_bytes * 8)
-        self._held = bytearray()          # content not yet released
+        self.core = TableCrc(spec)
+        self._held = b""                  # content not yet released
         self._frame_octets = 0            # total absorbed this frame
         self._sof_pending = True
         self.frames_ok = 0
@@ -214,54 +198,47 @@ class CrcCheck(Module):
         if not self.inp.can_pop:
             return
         beat: WordBeat = self.inp.peek()
-        content = len(self._held) + beat.n_valid - self.fcs_octets
+        w = self.width_bytes
+        payload = beat.payload()
+        content = len(self._held) + len(payload) - self.fcs_octets
         if beat.eof:
             # Whole remaining content flushes this cycle; reserve at
             # least one word for the frame-closing eof beat even when
             # every content octet already streamed out.
-            max_words = max(1, (content + self.width_bytes - 1) // self.width_bytes)
+            max_words = max(1, (content + w - 1) // w)
         else:
-            max_words = max(0, content) // self.width_bytes
+            max_words = max(0, content) // w
         if self.out.capacity - self.out.occupancy < max_words:
             self.note_stall()
             return
         self.inp.pop()
-        payload = beat.payload()
-        self._absorb(payload)
-        self._held.extend(payload)
+        self.core.update(payload)
+        self._held += payload
         self._frame_octets += len(payload)
         if beat.eof:
             self._finish_frame()
         else:
             self._release(flush=False)
 
-    def _absorb(self, payload: bytes) -> None:
-        if len(payload) == self.width_bytes:
-            self.core.step(payload)
-        elif payload:
-            self.core.step_partial(payload)
-
     def _release(self, *, flush: bool) -> None:
         # Keep fcs_octets bytes back unless flushing a finished frame.
-        limit = len(self._held) if flush else len(self._held) - self.fcs_octets
+        held = self._held
+        w = self.width_bytes
+        limit = len(held) if flush else len(held) - self.fcs_octets
         emitted = 0
-        while limit - emitted >= self.width_bytes:
-            word = bytes(self._held[emitted : emitted + self.width_bytes])
-            emitted += self.width_bytes
-            eof = flush and emitted >= limit
+        while limit - emitted >= w:
+            eof = flush and emitted + w >= limit
             self.out.push(
                 WordBeat.from_bytes(
-                    word, self.width_bytes, sof=self._sof_pending, eof=eof
+                    held[emitted : emitted + w], w, sof=self._sof_pending, eof=eof
                 )
             )
+            emitted += w
             self._sof_pending = False
         if flush and limit - emitted > 0:
             self.out.push(
                 WordBeat.from_bytes(
-                    bytes(self._held[emitted:limit]),
-                    self.width_bytes,
-                    sof=self._sof_pending,
-                    eof=True,
+                    held[emitted:limit], w, sof=self._sof_pending, eof=True
                 )
             )
             self._sof_pending = False
@@ -271,12 +248,11 @@ class CrcCheck(Module):
             # held-back tail was exactly the FCS, e.g. a force-closed
             # abort fragment): close the frame on an all-invalid beat
             # so it cannot merge into the next one.
-            w = self.width_bytes
             self.out.push(
                 WordBeat((0,) * w, (False,) * w, sof=self._sof_pending, eof=True)
             )
             self._sof_pending = False
-        del self._held[:emitted]
+        self._held = held[emitted:]
 
     def _finish_frame(self) -> None:
         good = False
@@ -288,7 +264,7 @@ class CrcCheck(Module):
                 f"{self.name}: {self._frame_octets}-octet frame cannot hold "
                 f"a {self.fcs_octets}-octet FCS"
             ))
-            self._held.clear()
+            self._held = b""
         else:
             residue = self.core.residue_value()
             good = residue == self.spec.residue
@@ -301,7 +277,7 @@ class CrcCheck(Module):
                     f"{self.name}: FCS residue 0x{residue:X} != "
                     f"magic 0x{self.spec.residue:X}",
                 ))
-            del self._held[-self.fcs_octets :]   # strip the trailer
+            self._held = self._held[: -self.fcs_octets]   # strip the trailer
             self._release(flush=True)
             self.released_results.append(good)
         self.frame_results.append(good)

@@ -24,6 +24,15 @@ stage 4 drains completed words through the resynchronisation buffer.
 A job therefore takes exactly ``pipeline_stages`` cycles from intake
 to first possible emission.
 
+Pass-through: a word with no octet to escape (generate) or no escape,
+flag or pending XOR (detect) is its own expansion, so the stage-1/2
+work returns its valid octets without the per-lane
+:func:`~repro.core.escape_gen.expand_word` /
+:func:`~repro.core.escape_det.contract_word` loop.  The test reads the
+live ``escapes`` / ``esc_octet`` / ``flag_octet`` attributes, which the
+OAM may reprogram, and the job still moves through every stage
+register on the same cycles.
+
 Backpressure: when the resynchronisation buffer cannot absorb the
 words a job would complete, stage 3 refuses to consume and the stall
 ripples back to the input — the mechanism that keeps the buffer
@@ -34,8 +43,7 @@ doubles the stream and the unit *must* halve its intake rate).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, FrozenSet, List, Optional
+from typing import Deque, FrozenSet, List, Optional, Tuple
 
 from repro.core.escape_det import contract_word
 from repro.core.escape_gen import expand_word
@@ -48,13 +56,10 @@ __all__ = ["PipelinedEscapeGenerate", "PipelinedEscapeDetect"]
 _DEFAULT_ESCAPES = frozenset({FLAG_OCTET, ESC_OCTET})
 
 
-@dataclass
-class _Job:
-    """One word's worth of work travelling down the pipeline."""
-
-    data: bytes      # expanded (gen) or contracted (det) octets
-    eof: bool
-    sof: bool
+#: One word's worth of work travelling down the pipeline:
+#: ``(data, eof, sof)``, ``data`` being the expanded (gen) or
+#: contracted (det) octets.
+_Job = Tuple[bytes, bool, bool]
 
 
 class _EscapePipelineBase(Module):
@@ -88,7 +93,7 @@ class _EscapePipelineBase(Module):
         # Stage registers between intake and the sort stage.
         self._regs: List[Optional[_Job]] = [None] * (pipeline_stages - 2)
         self._intake_job: Optional[_Job] = None   # two-stage units only
-        self._carry = bytearray()
+        self._carry = b""
         self._resync: Deque[WordBeat] = deque()
         self._frame_open = False
         # Statistics the OAM exposes.
@@ -105,125 +110,100 @@ class _EscapePipelineBase(Module):
         """Stage-1/2 combinational work (subclass hook)."""
         raise NotImplementedError
 
-    def _on_eof_flush(self) -> None:
-        """Subclass hook at frame end (error checks)."""
-
     # ------------------------------------------------------------ the clock
     def clock(self) -> None:
-        self._emit_stage()
-        self._sort_stage()
-        self._shift_stage()
-        self._intake_stage()
+        # Stage 4 (emit): move one completed word to the output register.
+        resync = self._resync
+        if resync:
+            if self.out.can_push:
+                beat = resync.popleft()
+                self.out.push(beat)
+                self.words_out += 1
+                self.bytes_out += beat.n_valid
+            else:
+                self.note_stall()
+        # Stage 3 (sort): merge the oldest job into the carry register.
+        regs = self._regs
+        job = regs[-1] if regs else self._staged_input()
+        if job is not None:
+            self._sort(job)
+        if not regs:
+            return  # two-stage unit: intake handled by the sort stage
+        # Advance jobs through the intermediate stage registers.
+        for i in range(len(regs) - 1, 0, -1):
+            if regs[i] is None and regs[i - 1] is not None:
+                regs[i] = regs[i - 1]
+                regs[i - 1] = None
+        # Stage 1 (intake): accept one input word if the first register is free.
+        if regs[0] is None and self.inp.can_pop:
+            regs[0] = self._make_job(self.inp.pop())
 
-    def _emit_stage(self) -> None:
-        """Stage 4: move one completed word to the output register."""
-        if self._resync and self.out.can_push:
-            beat = self._resync.popleft()
-            self.out.push(beat)
-            self.words_out += 1
-            self.bytes_out += beat.n_valid
-        elif self._resync:
-            self.note_stall()
-
-    def _sort_stage(self) -> None:
-        """Stage 3: merge the oldest job into the carry register."""
-        job = self._regs[-1] if self._regs else self._staged_input()
-        if job is None:
-            return
-        produced = self._words_job_would_complete(job)
-        if len(self._resync) + produced > self.resync_capacity:
+    def _sort(self, job: _Job) -> None:
+        """Stage 3: merge ``job`` into the carry, or stall it in its register."""
+        data, eof, sof = job
+        carry = self._carry + data
+        w = self.width_bytes
+        total = len(carry)
+        produced = total // w
+        if eof and total % w:
+            produced += 1
+        resync = self._resync
+        if len(resync) + produced > self.resync_capacity:
             self.note_stall()
             return  # backpressure: leave the job in its register
-        self._consume_oldest()
-        sof_pending = job.sof
-        self._carry.extend(job.data)
-        if len(self._carry) > self.max_carry_occupancy:
-            self.max_carry_occupancy = len(self._carry)
-        while len(self._carry) >= self.width_bytes:
-            word = bytes(self._carry[: self.width_bytes])
-            del self._carry[: self.width_bytes]
-            self._push_resync(word, sof=sof_pending, eof=False)
-            sof_pending = False
-        if job.eof:
-            self._on_eof_flush()
-            if self._carry:
-                self._push_resync(bytes(self._carry), sof=sof_pending, eof=True)
-                self._carry.clear()
-            elif self._resync:
-                last = self._resync[-1]
-                self._resync[-1] = WordBeat(
-                    last.lanes, last.valid, sof=last.sof, eof=True
-                )
-            else:
-                # Every remaining octet of the frame was a deleted
-                # escape (e.g. a force-closed abort fragment ending in
-                # a dangling escape): deliver the eof on an all-invalid
-                # beat so this frame cannot merge into the next one.
-                w = self.width_bytes
-                self._resync.append(
-                    WordBeat((0,) * w, (False,) * w, sof=sof_pending, eof=True)
-                )
+        if self._regs:
+            self._regs[-1] = None
+        else:
+            self._intake_job = None
+        if total > self.max_carry_occupancy:
+            self.max_carry_occupancy = total
+        off = 0
+        while total - off >= w:
+            self._push_resync(carry[off : off + w], sof=sof, eof=False)
+            off += w
+            sof = False
+        carry = carry[off:]
+        if not eof:
+            self._carry = carry
+            return
+        self._carry = b""
+        if carry:
+            self._push_resync(carry, sof=sof, eof=True)
+        elif resync:
+            last = resync[-1]
+            resync[-1] = WordBeat(last.lanes, last.valid, sof=last.sof, eof=True)
+        else:
+            # Every remaining octet of the frame was a deleted escape
+            # (e.g. a force-closed abort fragment ending in a dangling
+            # escape): deliver the eof on an all-invalid beat so this
+            # frame cannot merge into the next one.
+            resync.append(WordBeat((0,) * w, (False,) * w, sof=sof, eof=True))
 
     def _push_resync(self, word: bytes, *, sof: bool, eof: bool) -> None:
-        if len(self._resync) >= self.resync_capacity:
+        resync = self._resync
+        if len(resync) >= self.resync_capacity:
             # The sort stage pre-checks capacity, so this is a defensive
             # bound for fault campaigns: a register upset shrinking the
             # buffer must degrade to a counted drop, never an assertion.
             self.resync_overflow_drops += 1
             return
-        beat = WordBeat.from_bytes(word, self.width_bytes, sof=sof, eof=eof)
-        self._resync.append(beat)
-        if len(self._resync) > self.max_resync_occupancy:
-            self.max_resync_occupancy = len(self._resync)
-
-    def _words_job_would_complete(self, job: _Job) -> int:
-        total = len(self._carry) + len(job.data)
-        words = total // self.width_bytes
-        if job.eof and total % self.width_bytes:
-            words += 1
-        return words
+        resync.append(WordBeat.from_bytes(word, self.width_bytes, sof=sof, eof=eof))
+        if len(resync) > self.max_resync_occupancy:
+            self.max_resync_occupancy = len(resync)
 
     # For pipeline_stages == 2 there are no intermediate registers and
     # the sort stage reads the input channel directly.
     def _staged_input(self) -> Optional[_Job]:
-        if self._regs:
-            return self._regs[-1]
         if self._intake_job is None and self.inp.can_pop:
-            beat = self.inp.pop()
-            self._account_input(beat)
-            self._intake_job = self._make_job(beat)
+            self._intake_job = self._make_job(self.inp.pop())
         return self._intake_job
 
-    def _consume_oldest(self) -> None:
-        if self._regs:
-            self._regs[-1] = None
-        else:
-            self._intake_job = None
-
-    def _shift_stage(self) -> None:
-        """Advance jobs through the intermediate stage registers."""
-        for i in range(len(self._regs) - 1, 0, -1):
-            if self._regs[i] is None and self._regs[i - 1] is not None:
-                self._regs[i] = self._regs[i - 1]
-                self._regs[i - 1] = None
-
-    def _intake_stage(self) -> None:
-        """Stage 1: accept one input word if the first register is free."""
-        if not self._regs:
-            return  # two-stage unit: intake handled by the sort stage
-        if self._regs[0] is None and self.inp.can_pop:
-            beat = self.inp.pop()
-            self._regs[0] = self._make_job(beat)
-            self._account_input(beat)
-
     def _make_job(self, beat: WordBeat) -> _Job:
-        sof = not self._frame_open
-        self._frame_open = not beat.eof
-        return _Job(data=self._transform(beat), eof=beat.eof, sof=sof)
-
-    def _account_input(self, beat: WordBeat) -> None:
         self.words_in += 1
         self.bytes_in += beat.n_valid
+        sof = not self._frame_open
+        self._frame_open = not beat.eof
+        return (self._transform(beat), beat.eof, sof)
 
     def _resync_bound(self) -> BufferBound:
         """The paper's "extremely low" buffer, as a checkable bound."""
@@ -289,6 +269,9 @@ class PipelinedEscapeGenerate(_EscapePipelineBase):
         self.octets_escaped = 0
 
     def _transform(self, beat: WordBeat) -> bytes:
+        payload = beat.payload()
+        if self.escapes.isdisjoint(payload):
+            return payload  # pass-through: expand_word would copy it
         expanded = expand_word(beat, self.escapes, self.esc_octet)
         self.octets_escaped += len(expanded) - beat.n_valid
         return expanded
@@ -345,6 +328,11 @@ class PipelinedEscapeDetect(_EscapePipelineBase):
         self.dangling_escape_errors = 0
 
     def _transform(self, beat: WordBeat) -> bytes:
+        payload = beat.payload()
+        if not (
+            self._pending_xor or self.esc_octet in payload or self.flag_octet in payload
+        ):
+            return payload  # pass-through: contract_word would copy it
         contracted, self._pending_xor, deleted = contract_word(
             beat, self._pending_xor, self.esc_octet, self.flag_octet
         )

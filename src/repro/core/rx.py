@@ -132,9 +132,20 @@ class WordDelineator(Module):
         if self.out.capacity - self.out.occupancy < self.width_bytes + 2:
             self.note_stall()
             return
-        beat: WordBeat = self.inp.pop()
-        for octet in beat.payload():
-            self._consume_octet(octet)
+        payload = self.inp.pop().payload()
+        limit = self.max_frame_octets
+        if (
+            self._synced
+            and self.flag_octet not in payload
+            and not (limit and self._body_octets + len(payload) > limit)
+        ):
+            # A synced, flag-free word that cannot cross the oversize
+            # bound: every octet would just join the body.
+            self._carry += payload
+            self._body_octets += len(payload)
+        else:
+            for octet in payload:
+                self._consume_octet(octet)
         self._emit_words()
 
     def _consume_octet(self, octet: int) -> None:

@@ -103,7 +103,7 @@ class FlagInserter(Module):
         self.out = self.writes(out)
         self.width_bytes = width_bytes
         self.flag_octet = flag_octet
-        self._carry = bytearray()
+        self._carry = b""
         self.flags_inserted = 0
         self.frames_wrapped = 0
 
@@ -139,30 +139,28 @@ class FlagInserter(Module):
         if not self.inp.can_pop:
             return
         beat: WordBeat = self.inp.peek()
-        extra = (1 if beat.sof else 0) + (1 if beat.eof else 0)
-        total = len(self._carry) + beat.n_valid + extra
-        max_words = (total + self.width_bytes - 1) // self.width_bytes
-        if self.out.capacity - self.out.occupancy < max_words:
+        w = self.width_bytes
+        payload = beat.payload()
+        total = len(self._carry) + len(payload) + beat.sof + beat.eof
+        if self.out.capacity - self.out.occupancy < (total + w - 1) // w:
             self.note_stall()
             return
         self.inp.pop()
+        carry = self._carry
         if beat.sof:
-            self._carry.append(self.flag_octet)
+            carry += bytes((self.flag_octet,))
             self.flags_inserted += 1
-        self._carry.extend(beat.payload())
+        carry += payload
         if beat.eof:
-            self._carry.append(self.flag_octet)
+            carry += bytes((self.flag_octet,))
             self.flags_inserted += 1
             self.frames_wrapped += 1
-            while self._carry:
-                chunk = bytes(self._carry[: self.width_bytes])
-                del self._carry[: self.width_bytes]
-                self.out.push(WordBeat.from_bytes(chunk, self.width_bytes))
+            end = len(carry)
         else:
-            while len(self._carry) >= self.width_bytes:
-                chunk = bytes(self._carry[: self.width_bytes])
-                del self._carry[: self.width_bytes]
-                self.out.push(WordBeat.from_bytes(chunk, self.width_bytes))
+            end = len(carry) - len(carry) % w
+        for off in range(0, end, w):
+            self.out.push(WordBeat.from_bytes(carry[off : off + w], w))
+        self._carry = carry[end:]
 
 
 class P5Transmitter:

@@ -101,14 +101,16 @@ class Channel:
 
     # ------------------------------------------------------------------ data
     def push(self, item: Any) -> None:
-        if not self.can_push:
+        queue = self._queue
+        occupancy = len(queue) + 1
+        if occupancy > self.capacity:
             raise BackpressureOverflow(
                 f"push into full channel {self.name!r} (capacity {self.capacity})"
             )
-        self._queue.append(item)
+        queue.append(item)
         self.pushes += 1
-        if len(self._queue) > self.max_occupancy:
-            self.max_occupancy = len(self._queue)
+        if occupancy > self.max_occupancy:
+            self.max_occupancy = occupancy
         if self.on_push is not None:
             self.on_push(item)
 
@@ -276,7 +278,10 @@ class Module:
         raise NotImplementedError
 
     def on_cycle(self) -> None:
-        """Called by the simulator; wraps :meth:`clock` with counters."""
+        """One cycle: credit :attr:`cycles`, then :meth:`clock`.
+
+        :meth:`~repro.rtl.simulator.Simulator.step` does the same inline.
+        """
         self.cycles += 1
         self.clock()
 

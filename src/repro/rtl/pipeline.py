@@ -40,6 +40,10 @@ class WordBeat:
     sof / eof:
         Frame delimiting marks (the in-band equivalent of the flag
         octets once the framing layer has been processed).
+
+    The valid octets are computed once per beat and cached outside the
+    dataclass fields, so equality, hashing, ``repr`` and
+    :func:`dataclasses.replace` see only the four fields above.
     """
 
     lanes: Tuple[int, ...]
@@ -53,6 +57,8 @@ class WordBeat:
         for lane, ok in zip(self.lanes, self.valid):
             if ok and not 0 <= lane <= 0xFF:
                 raise ValueError(f"lane value out of range: {lane}")
+        payload = bytes(b for b, ok in zip(self.lanes, self.valid) if ok)
+        object.__setattr__(self, "_payload", payload)
 
     @property
     def width_bytes(self) -> int:
@@ -60,11 +66,11 @@ class WordBeat:
 
     @property
     def n_valid(self) -> int:
-        return sum(self.valid)
+        return len(self._payload)
 
     def payload(self) -> bytes:
         """The valid octets of this beat, in lane order."""
-        return bytes(b for b, ok in zip(self.lanes, self.valid) if ok)
+        return self._payload
 
     @classmethod
     def from_bytes(
@@ -75,12 +81,26 @@ class WordBeat:
         sof: bool = False,
         eof: bool = False,
     ) -> "WordBeat":
-        """Left-aligned beat from 1..width_bytes octets."""
-        if not 0 < len(data) <= width_bytes:
-            raise ValueError(f"beat must carry 1..{width_bytes} octets, got {len(data)}")
-        lanes = tuple(data) + (0,) * (width_bytes - len(data))
-        valid = (True,) * len(data) + (False,) * (width_bytes - len(data))
-        return cls(lanes, valid, sof=sof, eof=eof)
+        """Left-aligned beat from 1..width_bytes octets.
+
+        Built without ``__post_init__``: every octet of ``bytes`` is in
+        range by construction, so the per-lane check has nothing to find.
+        """
+        n = len(data)
+        if not 0 < n <= width_bytes:
+            raise ValueError(f"beat must carry 1..{width_bytes} octets, got {n}")
+        if type(data) is not bytes:
+            data = bytes(data)
+        pad = width_bytes - n
+        beat = object.__new__(cls)
+        beat.__dict__.update(
+            lanes=tuple(data) + (0,) * pad,
+            valid=(True,) * n + (False,) * pad,
+            sof=sof,
+            eof=eof,
+            _payload=data,
+        )
+        return beat
 
     def render(self) -> str:
         """Human-readable lane dump for timing diagrams, e.g. ``7E 12 -- 45``."""

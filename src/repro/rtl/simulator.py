@@ -116,10 +116,13 @@ class Simulator:
         """Advance the clock by ``cycles``.
 
         Batched stepping is the kernel's hot loop: the sink-first
-        module order is a cached tuple, modules reporting
-        :attr:`~repro.rtl.module.Module.quiescent` are skipped (their
-        cycle counters still advance), and the observer/conformance
-        dispatch is hoisted entirely out of the no-observer case.
+        module order is a cached tuple, each module's cycle counter is
+        credited here and :meth:`~repro.rtl.module.Module.clock` called
+        directly (what :meth:`~repro.rtl.module.Module.on_cycle` does,
+        one call frame cheaper), modules reporting
+        :attr:`~repro.rtl.module.Module.quiescent` are skipped, and the
+        observer/conformance dispatch is hoisted entirely out of the
+        no-observer case.
         """
         order = self._clock_order
         if order is None:
@@ -128,10 +131,9 @@ class Simulator:
         if observers:
             for _ in range(cycles):
                 for module in order:
-                    if module.quiescent:
-                        module.cycles += 1
-                    else:
-                        module.on_cycle()
+                    module.cycles += 1
+                    if not module.quiescent:
+                        module.clock()
                 self.cycle += 1
                 cycle = self.cycle
                 for callback in observers:
@@ -140,10 +142,9 @@ class Simulator:
             cycle = self.cycle
             for _ in range(cycles):
                 for module in order:
-                    if module.quiescent:
-                        module.cycles += 1
-                    else:
-                        module.on_cycle()
+                    module.cycles += 1
+                    if not module.quiescent:
+                        module.clock()
                 cycle += 1
             self.cycle = cycle
 

@@ -92,3 +92,26 @@ def test_table_matches_bitserial_under_any_chunking(name, chunks):
         assert table.value() == serial.value()
         assert table.residue_value() == serial.residue_value()
     assert table.crc_of(b"".join(chunks)) == serial.value()
+
+
+@pytest.mark.parametrize("width_bits", [8, 16, 32, 64])
+@pytest.mark.parametrize("name", registered_specs())
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_matrix_netlist_matches_table_engine(name, width_bits, data):
+    """The synthesis netlist source (``ParallelCrc`` over ``CrcMatrices``)
+    and the engine the cycle model's CRC stages run (``TableCrc``) hold
+    the same register after every chunk: whole datapath words, ragged
+    tails and arbitrary cuts alike.
+    """
+    spec = get_spec(name)
+    word = width_bits // 8
+    sizes = st.one_of(st.just(word), st.integers(min_value=0, max_value=2 * word + 1))
+    chunks = data.draw(st.lists(sizes.flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+                                max_size=8))
+    matrix, table = ParallelCrc(spec, width_bits), TableCrc(spec)
+    for chunk in chunks:
+        matrix.update(chunk)
+        table.update(chunk)
+        assert matrix.value() == table.value()
+        assert matrix.residue_value() == table.residue_value()

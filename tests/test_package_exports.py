@@ -1,0 +1,65 @@
+"""The top-level ``repro`` namespace: lazy exports over a fixed ``__all__``."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SRC = pathlib.Path(repro.__file__).resolve().parent.parent
+
+_PROBE = """
+import json, sys
+import repro
+loaded = sorted(m for m in sys.modules if m.startswith("repro."))
+missing = [name for name in repro.__all__ if getattr(repro, name, None) is None]
+subpackage = repro.rtl.Simulator.__name__
+print(json.dumps({"loaded": loaded, "missing": missing, "subpackage": subpackage}))
+"""
+
+
+def _run(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout
+
+
+def test_import_loads_no_subpackage_and_every_export_resolves():
+    result = json.loads(_run(_PROBE).splitlines()[-1])
+    # The probe resolves __all__ after recording what `import repro` loaded:
+    # the version string and no layer (in particular not core, ppp, sonet).
+    assert result["loaded"] == ["repro._version"]
+    assert result["missing"] == []
+    # `repro.<subpackage>` still resolves without importing it first.
+    assert result["subpackage"] == "Simulator"
+
+
+def test_star_import_binds_every_export():
+    out = _run(
+        "from repro import *\n"
+        "import repro\n"
+        "print(all(name in globals() for name in repro.__all__))"
+    )
+    assert out.strip() == "True"
+
+
+def test_exports_are_the_defining_objects():
+    from repro.core import P5Config
+    from repro.crc import TableCrc
+    from repro.sonet import PppOverSonet
+
+    assert repro.P5Config is P5Config
+    assert repro.TableCrc is TableCrc
+    assert repro.PppOverSonet is PppOverSonet
+    assert set(repro.__all__) <= set(dir(repro))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name
