@@ -46,8 +46,8 @@ def robustness_trial():
     hdlc_wire = bytearray(hdlc.encode_stream(payloads))
     offset = len(hdlc.encode_stream(payloads[:10])) - 1
     hdlc_wire[offset] ^= 0x01          # the shared flag byte
-    hdlc_rx = Delineator(framer=HdlcFramer())
-    hdlc_got = len(hdlc_rx.push_bytes(bytes(hdlc_wire)))
+    hdlc_rx = Delineator()
+    hdlc_got = sum(good for _content, good in hdlc_rx.push_bytes(bytes(hdlc_wire)))
 
     # GFP: flip one bit in frame 10's core header.
     gfp_wire = bytearray(

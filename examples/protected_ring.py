@@ -25,7 +25,7 @@ def main() -> None:
         SonetRxFramer(n, oof_threshold=1),
         SonetRxFramer(n, oof_threshold=1),
     )
-    delineator = Delineator(framer=HdlcFramer())
+    delineator = Delineator()
 
     frames = ppp_frame_contents(400, seed=3)
     hdlc = HdlcFramer()
@@ -48,7 +48,7 @@ def main() -> None:
         wire = tx.build(chunk)
         working = wire if frame_no < cut_at else bytes(len(wire))  # the cut
         payload = selector.receive_frame(working, wire)
-        recovered += [f.content for f in delineator.push_bytes(payload)]
+        recovered += [c for c, good in delineator.push_bytes(payload) if good]
         marker = ""
         if selector.switch_events and selector.switch_events[-1][0] == frame_no:
             _, target, kind = selector.switch_events[-1]

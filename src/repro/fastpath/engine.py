@@ -10,15 +10,16 @@ than any per-octet Python:
   :func:`zlib.crc32`) is stuffed by a chain of
   ``bytes.replace`` calls, escape octet first, and the whole batch is
   joined with its flags in one ``b"".join``.
-* **RX** — the wire stream is delineated with ``find``/``rfind``/
-  ``split`` on the flag; each body is destuffed by the inverse
-  ``replace`` chain, accepted only when it deleted exactly one octet
-  per escape, and residue-checked with the same CRC kernel.  Input the
-  chain cannot decode exactly (non-conforming ``7D 7D`` chains, an
-  escape before an octet that never needed one) falls back to the
-  run-parity kernel :meth:`FastpathEngine._destuff`, which reproduces
-  the cycle model's :func:`~repro.core.escape_det.contract_word`
-  semantics and is the one exact reference.
+* **RX** — the wire stream goes through the streaming receive codec
+  :class:`~repro.hdlc.delineation.Delineator` under a
+  :class:`~repro.hdlc.delineation.ReceivePolicy` set from the config
+  to mirror the cycle receiver: run-parity decoding of ``7D 7D``
+  (the FCS decides) and the ``max_frame_octets`` cut.  The codec
+  splits on the flag, destuffs each body with the inverse ``replace``
+  chain (an escape-count check sends anything else to the run-parity
+  fallback, which reproduces the cycle model's
+  :func:`~repro.core.escape_det.contract_word`) and residue-checks it
+  with the same CRC kernel.
 
 The engine mirrors the cycle model's observable behaviour: identical
 line bytes on TX, and on RX identical frame verdicts plus the OAM
@@ -34,11 +35,10 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.config import P5Config
 from repro.crc.table import TableCrc
 from repro.hdlc.constants import ESCAPE_XOR
+from repro.hdlc.delineation import Delineator, DelineatorStats, ReceivePolicy
 from repro.rtl.module import ChannelTiming, TimingContract
 
 __all__ = ["FastpathEngine", "FastpathTxResult", "FastpathRxResult"]
@@ -87,6 +87,27 @@ class FastpathRxResult:
         """Contents of frames that passed the FCS check."""
         return [content for content, good in self.frames if good]
 
+    @classmethod
+    def from_stats(
+        cls,
+        frames: List[Tuple[bytes, bool]],
+        stats: DelineatorStats,
+        open_tail_octets: int = 0,
+    ) -> "FastpathRxResult":
+        """The receive codec's counters under the cycle model's names."""
+        return cls(
+            frames=frames,
+            frames_ok=stats.frames_ok,
+            fcs_errors=stats.fcs_errors,
+            runt_frames=stats.runts,
+            aborts=stats.aborts,
+            oversize_drops=stats.oversize,
+            empty_bodies=stats.empty_bodies,
+            octets_discarded_hunting=stats.octets_discarded_hunting,
+            octets_deleted=stats.octets_deleted,
+            open_tail_octets=open_tail_octets,
+        )
+
 
 class FastpathEngine:
     """Frame-level TX/RX datapath sharing the cycle model's config.
@@ -111,10 +132,18 @@ class FastpathEngine:
         spec = self.config.fcs
         self.fcs_octets = spec.width // 8
         # The CRC engine's one-shot kernel, bound once: zlib.crc32
-        # itself for FCS-32.  A good frame's CRC over content + FCS is
-        # the magic residue with xorout applied.
+        # itself for FCS-32.
         self._fcs = TableCrc(spec).crc_of
-        self._good_crc = spec.residue ^ spec.xorout
+        #: The cycle receiver's choices: 7D 7D decodes by run parity
+        #: and the FCS decides; oversize bodies are cut, not dropped.
+        self.receive_policy = ReceivePolicy(
+            fcs=spec,
+            reject_escape_pairs=False,
+            max_frame_octets=self.config.max_frame_octets,
+            max_content=0,
+            flag_octet=self.config.flag_octet,
+            esc_octet=self.config.esc_octet,
+        )
         self._flag = bytes([self.config.flag_octet])
         self._esc = bytes([self.config.esc_octet])
         # Stuffing pairs (octet, escaped form), the escape octet first
@@ -129,14 +158,9 @@ class FastpathEngine:
         # octet is itself an escape octet: then no pass can match what
         # an earlier pass wrote.  True for the default set and for any
         # ACCM over the default flag and escape; any other set stuffs
-        # through one regex pass and destuffs through ``_destuff``.
+        # through one regex pass.
         chain_ok = all(v ^ ESCAPE_XOR not in escapes for v in escapes)
         self._stuff_pairs = pairs if chain_ok else None
-        self._unstuff_pairs = (
-            [(escaped, octet) for octet, escaped in reversed(pairs)]
-            if chain_ok
-            else None
-        )
         self._escaped = dict(pairs)
         self._escape_re = re.compile(
             b"[" + b"".join(re.escape(octet) for octet, _ in pairs) + b"]"
@@ -146,10 +170,6 @@ class FastpathEngine:
     def fcs_of(self, content: bytes) -> int:
         """The published FCS of one frame's content."""
         return self._fcs(content)
-
-    def _residue_ok(self, clear: bytes) -> bool:
-        """Magic-residue test over content + transmitted FCS."""
-        return self._fcs(clear) == self._good_crc
 
     # -------------------------------------------------------------------- TX
     def encode_frame(self, content: bytes) -> bytes:
@@ -211,99 +231,15 @@ class FastpathEngine:
         prefix is force-closed as a frame of its own (destuffed and
         FCS-checked; the remainder counts as hunt discards) — and a
         destuffed frame no larger than the FCS is a silently swallowed
-        runt.
+        runt.  Each call starts a fresh receiver; octets after the
+        final flag are reported as the open tail, not decoded.
         """
-        result = FastpathRxResult()
         line = bytes(line)
-        flag = self._flag
-        first = line.find(flag)
-        if first < 0:
-            result.octets_discarded_hunting = len(line)
-            return result
-        last = line.rfind(flag)
-        result.octets_discarded_hunting = first
-        result.open_tail_octets = len(line) - last - 1
-        if first == last:
-            return result
-        # Bodies are the (possibly empty) spans between adjacent flags.
-        bodies = line[first + 1 : last].split(flag)
-        result.empty_bodies = bodies.count(b"")
-        max_body = self.config.max_frame_octets
-        fcs_octets = self.fcs_octets
-        esc_octet = self.config.esc_octet
-        for body in filter(None, bodies):
-            if max_body and len(body) > max_body:
-                # The cycle delineator cuts on the (max+1)-th body
-                # octet, force-closes the already-shipped prefix as a
-                # frame (the cut always lies past the held-back window
-                # because max_frame_octets >= 4 words), and re-hunts;
-                # the rest of the body is noise.  No abort check: the
-                # cut is forced by count, not by ESC-then-FLAG.
-                result.oversize_drops += 1
-                result.octets_discarded_hunting += len(body) - (max_body + 1)
-                body = body[: max_body + 1]
-            elif body[-1] == esc_octet:
-                result.aborts += 1
-                continue
-            clear = self._unstuff(body)
-            result.octets_deleted += len(body) - len(clear)
-            if len(clear) <= fcs_octets:
-                result.runt_frames += 1
-                continue
-            good = self._residue_ok(clear)
-            if good:
-                result.frames_ok += 1
-            else:
-                result.fcs_errors += 1
-            result.frames.append((clear[:-fcs_octets], good))
-        return result
-
-    def _unstuff(self, body: bytes) -> bytes:
-        """Escape removal: the replace chain when provably exact.
-
-        Each pass turns ``ESC x`` into ``x ^ 0x20``, the escape pair
-        last so the escapes it restores meet no later pass.  On
-        conforming input every escape is deleted exactly once; any
-        other count means non-conforming input, which takes the
-        run-parity reference.
-        """
-        escapes = body.count(self._esc)
-        if not escapes:
-            return body
-        if self._unstuff_pairs is not None:
-            clear = body
-            for escaped, octet in self._unstuff_pairs:
-                clear = clear.replace(escaped, octet)
-            if len(body) - len(clear) == escapes:
-                return clear
-        return self._destuff(np.frombuffer(body, dtype=np.uint8))[0]
-
-    def _destuff(self, body: np.ndarray) -> Tuple[bytes, int]:
-        """Escape removal with cycle-exact run semantics (the reference).
-
-        :func:`~repro.core.escape_det.contract_word` deletes an escape
-        and XORs whatever octet follows — so within a maximal run of
-        consecutive escape octets, the even-offset ones delete and the
-        odd-offset ones are themselves the restored data (the
-        non-conforming ``7D 7D`` pair decodes to ``5D``, exactly as the
-        cycle pipeline does).
-        """
-        esc = body == self.config.esc_octet
-        if not esc.any():
-            return body.tobytes(), 0
-        indices = np.arange(body.size)
-        prev_esc = np.empty_like(esc)
-        prev_esc[0] = False
-        prev_esc[1:] = esc[:-1]
-        run_start = np.where(esc & ~prev_esc, indices, -1)
-        offset_in_run = indices - np.maximum.accumulate(run_start)
-        delete = esc & (offset_in_run % 2 == 0)
-        xor_next = np.empty_like(delete)
-        xor_next[0] = False
-        xor_next[1:] = delete[:-1]
-        out = body.copy()
-        out[xor_next] ^= ESCAPE_XOR
-        return out[~delete].tobytes(), int(delete.sum())
+        last = line.rfind(self._flag)
+        rx = Delineator(self.receive_policy)
+        frames = rx.push_bytes(line[: last + 1] if last >= 0 else line)
+        open_tail = len(line) - last - 1 if last >= 0 else 0
+        return FastpathRxResult.from_stats(frames, rx.stats, open_tail)
 
     # -------------------------------------------------------------- loopback
     def loopback(

@@ -24,6 +24,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.config import P5Config
 from repro.fastpath.engine import FastpathEngine, FastpathRxResult
+from repro.hdlc.delineation import Delineator
 from repro.rtl.module import Channel, ChannelTiming, Module, TimingContract
 
 __all__ = [
@@ -115,8 +116,14 @@ class FastpathRx(Module):
         super().__init__(name)
         self.inp = self.reads(inp)
         self.out = self.writes(out)
-        self.engine = engine
-        self.result = FastpathRxResult()
+        # One streaming receiver across frames, as on a wire.
+        self._rx = Delineator(engine.receive_policy)
+        self._frames: List[Tuple[bytes, bool]] = []
+
+    @property
+    def result(self) -> FastpathRxResult:
+        """Every frame received so far, with the receiver's counters."""
+        return FastpathRxResult.from_stats(list(self._frames), self._rx.stats)
 
     @property
     def quiescent(self) -> bool:
@@ -140,28 +147,9 @@ class FastpathRx(Module):
         if not self.out.can_push:
             self.note_stall()
             return
-        decoded = self.engine.decode_stream(self.inp.pop())
-        self._merge(decoded)
-        for frame in decoded.frames:
+        for frame in self._rx.push_bytes(self.inp.pop()):
+            self._frames.append(frame)
             self.out.push(frame)
-
-    def _merge(self, decoded: FastpathRxResult) -> None:
-        self.result.frames.extend(decoded.frames)
-        for counter in (
-            "frames_ok",
-            "fcs_errors",
-            "runt_frames",
-            "aborts",
-            "oversize_drops",
-            "empty_bodies",
-            "octets_discarded_hunting",
-            "octets_deleted",
-        ):
-            setattr(
-                self.result,
-                counter,
-                getattr(self.result, counter) + getattr(decoded, counter),
-            )
 
 
 class FastpathFrameSink(Module):

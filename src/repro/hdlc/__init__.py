@@ -3,13 +3,12 @@
 * :mod:`repro.hdlc.byte_stuffing` — octet-synchronous transparency
   (flag/escape substitution), the operation the paper's Escape
   Generate / Escape Detect datapath units perform word-parallel.
-* :mod:`repro.hdlc.bit_stuffing` — bit-synchronous transparency
-  (zero insertion after five ones) for completeness.
 * :mod:`repro.hdlc.accm` — the async control character map that makes
   additional octets escapable (LCP-negotiable).
 * :mod:`repro.hdlc.framer` — whole-frame encode/decode with FCS.
-* :mod:`repro.hdlc.delineation` — the streaming receive delineator
-  state machine (hunt/sync, abort and runt handling).
+* :mod:`repro.hdlc.delineation` — the streaming receive codec (hunt,
+  sync, destuff, FCS check; abort, runt and oversize handling), the one
+  frame-level receiver, configured by a :class:`ReceivePolicy`.
 """
 
 from repro.hdlc.constants import (
@@ -25,9 +24,8 @@ from repro.hdlc.byte_stuffing import (
     stuffed_length,
     unstuff,
 )
-from repro.hdlc.bit_stuffing import bit_stuff, bit_unstuff
 from repro.hdlc.framer import DecodedFrame, HdlcFramer
-from repro.hdlc.delineation import Delineator, DelineatorStats
+from repro.hdlc.delineation import Delineator, DelineatorStats, ReceivePolicy
 
 __all__ = [
     "FLAG_OCTET",
@@ -39,10 +37,9 @@ __all__ = [
     "stuff",
     "stuffed_length",
     "unstuff",
-    "bit_stuff",
-    "bit_unstuff",
     "HdlcFramer",
     "DecodedFrame",
     "Delineator",
     "DelineatorStats",
+    "ReceivePolicy",
 ]

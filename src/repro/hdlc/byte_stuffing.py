@@ -5,12 +5,15 @@ hardware performs — here as the *behavioural golden model* the
 cycle-accurate pipelines in :mod:`repro.core.escape_pipeline` are
 checked against.
 
-Two implementations of each direction are provided:
-
-* a legible scalar reference (``_stuff_scalar`` / ``_unstuff_scalar``);
 * :func:`stuff` is a ``bytes.replace`` chain, one pass per escapable
-  octet, and :func:`unstuff` takes a numpy-vectorised bulk path for
-  larger buffers (destuffing is applied to every received byte).
+  octet.
+* :func:`destuff` is the receive codec's escape removal (see
+  :class:`~repro.hdlc.delineation.Delineator`): the inverse chain,
+  checked by the escape count, with :func:`_run_parity` as the exact
+  fallback.  :func:`unstuff` is that kernel behind RFC 1662's error
+  rules.
+* ``_stuff_scalar`` / ``_unstuff_scalar`` are the legible per-octet
+  references the tests hold both directions to.
 """
 
 from __future__ import annotations
@@ -18,18 +21,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import AbortError, FramingError
 from repro.hdlc.accm import Accm
 from repro.hdlc.constants import ESCAPE_XOR, ESC_OCTET, FLAG_OCTET
 
 __all__ = ["escape_set", "stuff", "unstuff", "stuffed_length"]
 
-#: Buffers at least this large take the vectorised paths.
-_VECTOR_THRESHOLD = 64
-
 _MANDATORY = frozenset({FLAG_OCTET, ESC_OCTET})
+_ESC = bytes([ESC_OCTET])
 
 
 def escape_set(accm: Optional[Accm] = None) -> FrozenSet[int]:
@@ -46,12 +45,7 @@ def stuffed_length(data: bytes, accm: Optional[Accm] = None) -> int:
     ``len(data) + count(escapable)`` — the quantity the paper's
     resynchronisation buffer has to absorb.
     """
-    escapes = escape_set(accm)
-    if len(data) >= _VECTOR_THRESHOLD:
-        arr = np.frombuffer(data, dtype=np.uint8)
-        needs = np.isin(arr, np.fromiter(escapes, dtype=np.uint8))
-        return len(data) + int(needs.sum())
-    return len(data) + sum(1 for b in data if b in escapes)
+    return len(data) + sum(map(bytes(data).count, escape_set(accm)))
 
 
 # --------------------------------------------------------------------- stuff
@@ -90,24 +84,26 @@ def stuff(data: bytes, accm: Optional[Accm] = None) -> bytes:
 
 
 # ------------------------------------------------------------------- unstuff
-def _unstuff_scalar(data: bytes, *, strict: bool) -> bytes:
+def _unstuff_scalar(
+    data: bytes, *, strict: bool, flag: int = FLAG_OCTET, esc: int = ESC_OCTET
+) -> bytes:
     out = bytearray()
     i = 0
     n = len(data)
     while i < n:
         byte = data[i]
-        if byte == FLAG_OCTET:
+        if byte == flag:
             raise FramingError(f"unescaped flag octet inside frame at offset {i}")
-        if byte == ESC_OCTET:
+        if byte == esc:
             if i + 1 >= n:
                 # The octet after a frame body is its closing flag, so
                 # a trailing escape is the RFC 1662 abort sequence.
                 raise AbortError("frame aborted: escape immediately before closing flag")
             nxt = data[i + 1]
-            if nxt == FLAG_OCTET:
+            if nxt == flag:
                 raise AbortError(f"abort sequence (7D 7E) at offset {i}")
             restored = nxt ^ ESCAPE_XOR
-            if strict and nxt == ESC_OCTET:
+            if strict and nxt == esc:
                 # 7D 7D is not producible by a conforming sender.
                 raise FramingError(f"invalid escape pair 7D 7D at offset {i}")
             out.append(restored)
@@ -118,36 +114,60 @@ def _unstuff_scalar(data: bytes, *, strict: bool) -> bytes:
     return bytes(out)
 
 
-def _unstuff_vector(data: bytes, *, strict: bool) -> bytes:
-    arr = np.frombuffer(data, dtype=np.uint8)
-    flags = np.flatnonzero(arr == FLAG_OCTET)
-    if flags.size:
-        first = int(flags[0])
-        if first > 0 and arr[first - 1] == ESC_OCTET:
-            raise AbortError(f"abort sequence (7D 7E) at offset {first - 1}")
-        raise FramingError(f"unescaped flag octet inside frame at offset {first}")
-    is_esc = arr == ESC_OCTET
-    if not is_esc.any():
-        return data
-    # An octet is "escaped" iff preceded by an odd run of escape octets;
-    # with conforming input escapes never chain (7D 7D is invalid), so a
-    # simple shift suffices once chained escapes are rejected.
-    esc_idx = np.flatnonzero(is_esc)
-    if esc_idx[-1] == arr.size - 1:
-        # See the scalar path: a trailing escape is an aborted frame.
-        raise AbortError("frame aborted: escape immediately before closing flag")
-    following = arr[esc_idx + 1]
-    if (following == ESC_OCTET).any():
-        if strict:
-            where = int(esc_idx[np.argmax(following == ESC_OCTET)])
-            raise FramingError(f"invalid escape pair 7D 7D at offset {where}")
-        # Chained escapes break the shift trick; defer to the scalar walk.
-        return _unstuff_scalar(data, strict=strict)
-    out = arr.copy()
-    out[esc_idx + 1] ^= ESCAPE_XOR
-    keep = np.ones(arr.size, dtype=bool)
-    keep[esc_idx] = False
-    return out[keep].tobytes()
+@lru_cache(maxsize=None)
+def unstuff_pairs(flag: int, esc: int) -> Tuple[Tuple[bytes, bytes], ...]:
+    """``(escaped form, octet)`` for the flag and the escape, escape last.
+
+    Each pass turns ``ESC x`` into ``x ^ 0x20``; the escape pair runs
+    last, so the escapes it restores meet no later pass.  Escapes of
+    any other octet (ACCM control octets, or ones no sender needed)
+    are left to :func:`_run_parity`.
+    """
+    return tuple(
+        (bytes([esc, v ^ ESCAPE_XOR]), bytes([v])) for v in (flag, esc)
+    )
+
+
+def _run_parity(body: bytes, esc: bytes) -> bytes:
+    """Escape removal with cycle-exact run semantics.
+
+    :func:`~repro.core.escape_det.contract_word` deletes an escape and
+    XORs whatever octet follows, so within a run of consecutive escape
+    octets the even-offset ones delete and the odd-offset ones are the
+    restored data: the non-conforming ``7D 7D`` decodes to ``5D``, and
+    an unpaired escape at the very end is deleted.
+    """
+    parts = body.split(esc)
+    out = [parts[0]]
+    restored_esc = bytes([esc[0] ^ ESCAPE_XOR])
+    pending = False  # the previous escape deleted and awaits its octet
+    for part in parts[1:]:
+        if pending:
+            out += (restored_esc, part)
+            pending = False
+        elif part:
+            out += (bytes([part[0] ^ ESCAPE_XOR]), part[1:])
+        else:
+            pending = True
+    return b"".join(out)
+
+
+def destuff(
+    body: bytes, escapes: int, pairs: Tuple[Tuple[bytes, bytes], ...], esc: bytes
+) -> bytes:
+    """Remove the ``escapes`` escape octets of one flag-free body.
+
+    The :func:`unstuff_pairs` chain is accepted only if it deleted
+    exactly one octet per escape: that holds on all conforming input.
+    Anything else (``7D 7D`` chains, escapes of octets outside the
+    chain) takes :func:`_run_parity`, which decodes every input.
+    """
+    clear = body
+    for escaped, octet in pairs:
+        clear = clear.replace(escaped, octet)
+    if len(body) - len(clear) == escapes:
+        return clear
+    return _run_parity(body, esc)
 
 
 def unstuff(data: bytes, *, strict: bool = True) -> bytes:
@@ -155,7 +175,8 @@ def unstuff(data: bytes, *, strict: bool = True) -> bytes:
 
     ``data`` is the body *between* two flags, so a trailing escape
     octet means the escape was immediately followed by the closing
-    flag — the RFC 1662 abort sequence.
+    flag — the RFC 1662 abort sequence.  The first violation, reading
+    left to right, decides the error, as in ``_unstuff_scalar``.
 
     Raises
     ------
@@ -166,6 +187,14 @@ def unstuff(data: bytes, *, strict: bool = True) -> bytes:
         On a bare flag inside the frame or (when ``strict``) the
         unproducible pair ``0x7D 0x7D``.
     """
-    if len(data) >= _VECTOR_THRESHOLD:
-        return _unstuff_vector(data, strict=strict)
-    return _unstuff_scalar(data, strict=strict)
+    data = bytes(data)
+    flag_at = data.find(FLAG_OCTET)
+    body = data if flag_at < 0 else data[:flag_at]
+    if strict and _ESC + _ESC in body:
+        raise FramingError("invalid escape pair 7D 7D")
+    if (len(body) - len(body.rstrip(_ESC))) % 2:
+        # An odd escape run ends in an escape with nothing to escape.
+        raise AbortError("frame aborted: escape immediately before a flag")
+    if flag_at >= 0:
+        raise FramingError(f"unescaped flag octet inside frame at offset {flag_at}")
+    return destuff(body, body.count(_ESC), unstuff_pairs(FLAG_OCTET, ESC_OCTET), _ESC)

@@ -2,24 +2,42 @@
 
 :class:`HdlcFramer` is the behavioural model of the complete TX/RX
 datapath the P5 implements: on transmit it appends the FCS, applies
-octet transparency and wraps the result in flags; on receive it
-reverses the process and verifies the FCS (by value and, equivalently,
-by the RFC's magic-residue method).
+octet transparency and wraps the result in flags; on receive it runs
+each body through the streaming receive codec
+(:class:`~repro.hdlc.delineation.Delineator`) and turns its verdict
+into the frame or an exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.crc import CRC32, CrcSpec, TableCrc
-from repro.errors import FcsError, FramingError, OversizeFrameError, RuntFrameError
+from repro.errors import (
+    AbortError,
+    FcsError,
+    FramingError,
+    OversizeFrameError,
+    RuntFrameError,
+)
 from repro.hdlc.accm import Accm
 from repro.hdlc.byte_stuffing import stuff, unstuff
 from repro.hdlc.constants import FLAG_OCTET
+from repro.hdlc.delineation import Delineator, ReceivePolicy
 from repro.rtl.module import ChannelTiming, TimingContract
 
 __all__ = ["HdlcFramer", "DecodedFrame"]
+
+_FLAG = bytes([FLAG_OCTET])
+
+#: How :meth:`HdlcFramer.decode_body` reports each discard counter.
+_COUNTED_ERRORS = (
+    ("aborts", AbortError, "frame aborted: escape immediately before the closing flag"),
+    ("framing_errors", FramingError, "invalid escape pair 7D 7D"),
+    ("runts", RuntFrameError, "frame body cannot hold content + FCS"),
+    ("oversize", OversizeFrameError, "frame exceeds the maximum receive unit"),
+)
 
 
 @dataclass(frozen=True)
@@ -48,10 +66,6 @@ def _fcs_trailer(spec: CrcSpec, value: int) -> bytes:
     return value.to_bytes(spec.width // 8, "little")
 
 
-def _fcs_from_trailer(spec: CrcSpec, trailer: bytes) -> int:
-    return int.from_bytes(trailer, "little")
-
-
 class HdlcFramer:
     """Encode/decode HDLC-like frames with a selectable FCS.
 
@@ -64,7 +78,8 @@ class HdlcFramer:
         Optional async control character map; ``None`` means
         octet-synchronous rules (only 0x7D/0x7E escaped).
     max_content:
-        Receive guard: decoded content longer than this raises
+        Receive guard (the :class:`~repro.hdlc.delineation.ReceivePolicy`
+        drop limit): decoded content longer than this raises
         :class:`~repro.errors.OversizeFrameError`.  PPP's default MRU
         is 1500 information octets; the extra headroom covers
         address/control/protocol.
@@ -88,7 +103,7 @@ class HdlcFramer:
         self,
         fcs_spec: CrcSpec = CRC32,
         accm: Optional[Accm] = None,
-        max_content: int = 1500 + 8,
+        max_content: int = ReceivePolicy.max_content,
     ) -> None:
         if fcs_spec.width not in (16, 32):
             raise ValueError(f"FCS must be 16 or 32 bits, got {fcs_spec.width}")
@@ -127,72 +142,58 @@ class HdlcFramer:
         return bytes(out)
 
     # ---------------------------------------------------------------- decode
-    def decode_body(self, body: bytes, *, wire_length: Optional[int] = None) -> DecodedFrame:
-        """Decode the octets *between* flags: unstuff, split FCS, verify.
+    @property
+    def receive_policy(self) -> ReceivePolicy:
+        """The receive codec's policy for this framer: ``7D 7D`` is a
+        framing error and ``max_content`` drops by decoded size."""
+        return ReceivePolicy(fcs=self.fcs_spec, max_content=self.max_content)
 
-        Raises :class:`RuntFrameError`, :class:`FcsError`,
-        :class:`OversizeFrameError` or any transparency error from
-        :func:`repro.hdlc.byte_stuffing.unstuff`.
+    def decode_body(self, body: bytes, *, wire_length: Optional[int] = None) -> DecodedFrame:
+        """Decode the octets *between* flags through the receive codec.
+
+        Raises :class:`AbortError`, :class:`FramingError` (a bare flag
+        or ``7D 7D``), :class:`RuntFrameError`,
+        :class:`OversizeFrameError` or :class:`FcsError` — the codec's
+        verdict on the body.
         """
-        clear = unstuff(body)
-        if len(clear) < self.fcs_octets + 1:
-            raise RuntFrameError(
-                f"frame body of {len(clear)} octets cannot hold content + FCS-{self.fcs_spec.width}"
+        if _FLAG in body:
+            raise FramingError("unescaped flag octet inside frame")
+        rx = Delineator(self.receive_policy)
+        for content, good in rx.push_bytes(_FLAG + body + _FLAG):
+            computed = self.compute_fcs(content)
+            if not good:
+                trailer = unstuff(body, strict=False)[-self.fcs_octets :]
+                raise FcsError(int.from_bytes(trailer, "little"), computed)
+            return DecodedFrame(
+                content=content,
+                fcs=computed,
+                wire_length=wire_length if wire_length is not None else len(body) + 2,
             )
-        content, trailer = clear[: -self.fcs_octets], clear[-self.fcs_octets :]
-        if len(content) > self.max_content:
-            raise OversizeFrameError(
-                f"decoded content {len(content)} exceeds maximum {self.max_content}"
-            )
-        carried = _fcs_from_trailer(self.fcs_spec, trailer)
-        computed = self.compute_fcs(content)
-        if carried != computed:
-            raise FcsError(carried, computed)
-        # Cross-check via the RFC 1662 magic-residue method: CRC over
-        # content *plus* trailer must equal the spec's residue (here
-        # with xorout applied, as the one-shot kernel publishes it).
-        if self._crc.crc_of(clear) != self.fcs_spec.residue ^ self.fcs_spec.xorout:
-            raise FcsError(carried, computed, "FCS residue check failed")
-        return DecodedFrame(
-            content=content,
-            fcs=carried,
-            wire_length=wire_length if wire_length is not None else len(body) + 2,
-        )
+        for counter, error, message in _COUNTED_ERRORS:
+            if getattr(rx.stats, counter):
+                raise error(message)
+        raise RuntFrameError("no frame body between flags")
 
     def decode(self, wire: bytes) -> DecodedFrame:
         """Decode one complete frame including its delimiting flags."""
         if len(wire) < 2 or wire[0] != FLAG_OCTET or wire[-1] != FLAG_OCTET:
             raise FramingError("frame must start and end with the flag octet 0x7E")
-        body = wire[1:-1]
         # Tolerate flag padding/sharing at the boundaries.
-        body = body.strip(bytes([FLAG_OCTET]))
-        if not body:
-            raise RuntFrameError("no frame body between flags")
-        return self.decode_body(body, wire_length=len(wire))
+        return self.decode_body(wire[1:-1].strip(_FLAG), wire_length=len(wire))
 
     def decode_stream(self, wire: bytes) -> List[DecodedFrame]:
         """Split a flag-delimited stream into frames and decode each.
 
-        Empty inter-flag gaps (idle flags) are skipped, matching the
-        receiver FSM's behaviour of treating repeated flags as one.
+        Octets before the first flag are ignored and empty inter-flag
+        gaps (idle flags) skipped, matching the receiver FSM's
+        behaviour of treating repeated flags as one; the first bad
+        body raises.
         """
-        frames: List[DecodedFrame] = []
-        for body, span in _split_bodies(wire):
-            frames.append(self.decode_body(body, wire_length=span))
-        return frames
-
-
-def _split_bodies(wire: bytes) -> List[Tuple[bytes, int]]:
-    """Yield (body, wire_span) for each non-empty inter-flag region."""
-    if not wire:
-        return []
-    regions: List[Tuple[bytes, int]] = []
-    start: Optional[int] = None
-    for i, byte in enumerate(wire):
-        if byte == FLAG_OCTET:
-            if start is not None and i > start:
-                regions.append((wire[start:i], i - start + 2))
-            start = i + 1
-    if start is not None and start < len(wire):
-        raise FramingError("stream ends inside an undelimited frame")
-    return regions
+        pieces = bytes(wire).split(_FLAG)
+        if len(pieces) > 1 and pieces[-1]:
+            raise FramingError("stream ends inside an undelimited frame")
+        return [
+            self.decode_body(body, wire_length=len(body) + 2)
+            for body in pieces[1:-1]
+            if body
+        ]

@@ -107,7 +107,7 @@ class PppEndpoint:
         self._base_fcs = fcs_spec
         self.tx_framer = HdlcFramer(fcs_spec)
         self.rx_framer = HdlcFramer(fcs_spec)
-        self.delineator = Delineator(framer=self.rx_framer)
+        self.delineator = Delineator(self.rx_framer.receive_policy)
         self.counters = EndpointCounters()
         self._datagram_out: Deque[Tuple[int, bytes]] = deque()
         self.datagrams_in: Deque[Tuple[int, bytes]] = deque()
@@ -292,14 +292,15 @@ class PppEndpoint:
         if rx_flags is not None:
             spec = CRC32 if rx_flags == FCS_32 else CRC16_X25
             self.rx_framer = HdlcFramer(spec, max_content=self.lcp.config.mru + 8)
-            self.delineator.framer = self.rx_framer
+            # Reprogrammed in place: a frame already in flight is kept.
+            self.delineator.policy = self.rx_framer.receive_policy
             self._fcs_applied = True
 
     def _revert_fcs(self) -> None:
         if self._fcs_applied:
             self.tx_framer = HdlcFramer(self._base_fcs)
             self.rx_framer = HdlcFramer(self._base_fcs)
-            self.delineator.framer = self.rx_framer
+            self.delineator.policy = self.rx_framer.receive_policy
             self._fcs_applied = False
 
     # ------------------------------------------------------------- transmit
@@ -349,12 +350,12 @@ class PppEndpoint:
     # --------------------------------------------------------------- receive
     def receive_wire(self, data: bytes) -> None:
         """Push raw line octets through delineation and dispatch frames."""
-        for decoded in self.delineator.push_bytes(data):
+        for content, good in self.delineator.push_bytes(data):
+            if not good:
+                continue
             self.counters.frames_rx += 1
             try:
-                frame = PPPFrame.decode(
-                    decoded.content, expected_address=self.address
-                )
+                frame = PPPFrame.decode(content, expected_address=self.address)
             except FramingError:
                 continue
             self._dispatch(frame)

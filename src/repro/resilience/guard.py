@@ -22,8 +22,10 @@ trust at runtime:
   the fast engine's re-encode agrees byte-for-byte with the shipped
   cycle line, the fastpath is reinstated.
 
-Both receive paths are *streaming*: the fast decoder carries the open
-tail (from its last seen flag) between intervals, and the cycle
+Both receive paths are *streaming*: the fast side is the receive codec
+(:class:`~repro.hdlc.delineation.Delineator`, under the engine's
+cycle-mirroring policy), which carries the open frame between
+intervals — at most ``max_frame_octets`` of it — and the cycle
 receiver is a long-lived pipeline fed through
 :meth:`~repro.rtl.pipeline.StreamSource.extend` — so frames split
 across interval boundaries by storms or cuts decode exactly as a
@@ -41,6 +43,7 @@ from repro.core.p5 import P5System, PhyWire
 from repro.core.rx import P5Receiver
 from repro.fastpath.differential import DifferentialHarness
 from repro.fastpath.engine import FastpathEngine
+from repro.hdlc.delineation import Delineator, DelineatorStats
 from repro.resilience.events import EventLog
 from repro.rtl.pipeline import StreamSource, beats_from_bytes
 from repro.rtl.simulator import Simulator
@@ -76,37 +79,6 @@ class RxDelta:
     hunt_octets: int = 0
     contract_violations: int = 0
     mode: str = GuardMode.FAST.value
-
-
-class _StreamingFastRx:
-    """Frame-level decoder with an open-tail carry across feeds."""
-
-    def __init__(self, engine: FastpathEngine) -> None:
-        self.engine = engine
-        self._tail = b""
-
-    def flush(self) -> None:
-        self._tail = b""
-
-    def feed(self, data: bytes) -> RxDelta:
-        buf = self._tail + data
-        delta = RxDelta(mode=GuardMode.FAST.value)
-        if not buf:
-            return delta
-        result = self.engine.decode_stream(buf)
-        # Carry from the last flag onward: a frame still open at the
-        # interval boundary re-decodes whole once its closing flag
-        # arrives.  No flag at all means pure hunt noise — drop it.
-        idx = buf.rfind(bytes([self.engine.config.flag_octet]))
-        self._tail = buf[idx:] if idx >= 0 else b""
-        delta.frames = result.frames
-        delta.frames_ok = result.frames_ok
-        delta.fcs_errors = result.fcs_errors
-        delta.framing_faults = (
-            result.aborts + result.oversize_drops + result.runt_frames
-        )
-        delta.hunt_octets = result.octets_discarded_hunting
-        return delta
 
 
 class _StreamingCycleRx:
@@ -218,7 +190,7 @@ class FastpathGuard:
         self._clean_streak = 0
         self._sabotage_armed = False
         self._harness = DifferentialHarness(config, timeout=timeout)
-        self._fast_rx = _StreamingFastRx(self.engine)
+        self._fast_rx = Delineator(self.engine.receive_policy)
         self._cycle_rx: Optional[_StreamingCycleRx] = None
         self._pending_carry = b""
 
@@ -294,9 +266,9 @@ class FastpathGuard:
         self.quarantines.append(record)
         self.mode = GuardMode.QUARANTINED
         self._clean_streak = 0
-        # Hand the fast decoder's open tail to the cycle receiver so no
+        # Hand the fast decoder's open frame to the cycle receiver so no
         # in-flight frame is lost across the mode switch.
-        self._pending_carry = self._fast_rx._tail
+        self._pending_carry = self._fast_rx.open_frame()
         self._fast_rx.flush()
         self.log.record(
             interval, "fastpath", self.name, "quarantine",
@@ -338,7 +310,17 @@ class FastpathGuard:
                 )
             carry, self._pending_carry = self._pending_carry, b""
             return self._cycle_rx.feed(carry + data)
-        return self._fast_rx.feed(data)
+        rx = self._fast_rx
+        rx.stats = stats = DelineatorStats()
+        frames = rx.push_bytes(data)
+        return RxDelta(
+            frames=frames,
+            frames_ok=stats.frames_ok,
+            fcs_errors=stats.fcs_errors,
+            framing_faults=stats.aborts + stats.oversize + stats.runts,
+            hunt_octets=stats.octets_discarded_hunting,
+            mode=GuardMode.FAST.value,
+        )
 
     def resync(self) -> None:
         """Recovery-ladder rung: drop delineation state and re-hunt."""

@@ -55,7 +55,7 @@ class PppOverSonet:
         self.framer = SonetFramer(n, c2=c2)
         self.rx_framer = SonetRxFramer(n, expected_c2=c2)
         self.hdlc = HdlcFramer(fcs_spec)
-        self.delineator = Delineator(framer=HdlcFramer(fcs_spec))
+        self.delineator = Delineator(self.hdlc.receive_policy)
         self._tx_scrambler = SelfSyncScrambler()
         self._rx_scrambler = SelfSyncScrambler()
         self._tx_queue: Deque[bytes] = deque()
@@ -96,7 +96,7 @@ class PppOverSonet:
         payload = self.rx_framer.feed(data)
         if self.payload_scrambling and payload:
             payload = self._rx_scrambler.descramble(payload)
-        return [f.content for f in self.delineator.push_bytes(payload)]
+        return [content for content, good in self.delineator.push_bytes(payload) if good]
 
     # ------------------------------------------------------------- reporting
     @property

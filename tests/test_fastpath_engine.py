@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import P5Config
-from repro.crc import CRC16_X25
+from repro.crc import CRC16_X25, TableCrc
 from repro.fastpath import (
     FastpathEngine,
     FastpathRxResult,
@@ -126,20 +126,48 @@ def test_rx_oversize_boundary_frame_still_decodes():
     assert rx.good_frames() == [content]
 
 
+def _destuff(body, esc_octet=ESC_OCTET):
+    """Escape removal with cycle-exact run semantics (the reference).
+
+    :func:`~repro.core.escape_det.contract_word` deletes an escape
+    and XORs whatever octet follows — so within a maximal run of
+    consecutive escape octets, the even-offset ones delete and the
+    odd-offset ones are themselves the restored data (the
+    non-conforming ``7D 7D`` pair decodes to ``5D``).
+    """
+    body = np.frombuffer(body, dtype=np.uint8)
+    esc = body == esc_octet
+    if not esc.any():
+        return body.tobytes(), 0
+    indices = np.arange(body.size)
+    prev_esc = np.empty_like(esc)
+    prev_esc[0] = False
+    prev_esc[1:] = esc[:-1]
+    run_start = np.where(esc & ~prev_esc, indices, -1)
+    offset_in_run = indices - np.maximum.accumulate(run_start)
+    delete = esc & (offset_in_run % 2 == 0)
+    xor_next = np.empty_like(delete)
+    xor_next[0] = False
+    xor_next[1:] = delete[:-1]
+    out = body.copy()
+    out[xor_next] ^= 0x20
+    return out[~delete].tobytes(), int(delete.sum())
+
+
 def test_destuff_chained_escapes_match_unstuff():
     from repro.hdlc import stuff, unstuff
+    from repro.hdlc.byte_stuffing import _run_parity
 
-    engine = FastpathEngine()
+    esc = bytes([ESC_OCTET])
     payload = bytes([ESC_OCTET, ESC_OCTET, FLAG_OCTET, 0x00, ESC_OCTET])
     stuffed = stuff(payload)
-    clear, deleted = engine._destuff(np.frombuffer(stuffed, dtype=np.uint8))
-    assert clear == unstuff(stuffed) == payload
-    assert deleted == len(stuffed) - len(payload)
+    for clear, deleted in (_destuff(stuffed), (_run_parity(stuffed, esc), None)):
+        assert clear == unstuff(stuffed) == payload
+        assert deleted in (None, len(stuffed) - len(payload))
     # Non-conforming 7D 7D decodes to 5D, like the cycle pipeline.
-    raw = np.array([ESC_OCTET, ESC_OCTET], dtype=np.uint8)
-    clear, deleted = engine._destuff(raw)
-    assert clear == bytes([ESC_OCTET ^ 0x20])
-    assert deleted == 1
+    raw = bytes([ESC_OCTET, ESC_OCTET])
+    assert _destuff(raw) == (bytes([ESC_OCTET ^ 0x20]), 1)
+    assert _run_parity(raw, esc) == bytes([ESC_OCTET ^ 0x20])
 
 
 def test_sonet_fastpath_roundtrip():
@@ -233,12 +261,12 @@ def _reference_decode(engine, line):
         elif body[-1] == config.esc_octet:
             ref.aborts += 1
             continue
-        clear, deleted = engine._destuff(np.frombuffer(body, dtype=np.uint8))
+        clear, deleted = _destuff(body, config.esc_octet)
         ref.octets_deleted += deleted
         if len(clear) <= engine.fcs_octets:
             ref.runt_frames += 1
             continue
-        good = engine._residue_ok(clear)
+        good = TableCrc(config.fcs).crc_of(clear) == config.fcs.residue ^ config.fcs.xorout
         ref.frames_ok += good
         ref.fcs_errors += not good
         ref.frames.append((clear[: -engine.fcs_octets], good))

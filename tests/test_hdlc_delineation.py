@@ -13,7 +13,7 @@ def framer():
 
 @pytest.fixture
 def delineator(framer):
-    return Delineator(framer=framer)
+    return Delineator(framer.receive_policy)
 
 
 class TestHunting:
@@ -36,7 +36,7 @@ class TestHunting:
         # delineation picks up cleanly with frame 2.
         wire = framer.encode(b"\xff\x03first") + framer.encode(b"\xff\x03second")
         frames = delineator.push_bytes(wire[4:])   # skip into frame 1
-        contents = [f.content for f in frames]
+        contents = [content for content, good in frames if good]
         assert contents == [b"\xff\x03second"]
         assert delineator.stats.fcs_errors == 0
         assert delineator.stats.octets_discarded_hunting > 0
@@ -46,13 +46,13 @@ class TestStreaming:
     def test_byte_at_a_time(self, delineator, framer):
         content = b"\xff\x03" + bytes(range(64))
         returned = [delineator.push(octet) for octet in framer.encode(content)]
-        assert [f.content for f in returned if f is not None] == [content]
+        assert [f for f in returned if f is not None] == [(content, True)]
 
     def test_back_to_back_frames(self, delineator, framer):
         contents = [b"\xff\x03" + bytes([i]) * 10 for i in range(5)]
         stream = framer.encode_stream(contents)
         frames = delineator.push_bytes(stream)
-        assert [f.content for f in frames] == contents
+        assert frames == [(content, True) for content in contents]
         assert delineator.stats.frames_ok == 5
 
     def test_idle_flags_are_not_frames(self, delineator):
@@ -64,7 +64,7 @@ class TestStreaming:
         content = b"\xff\x03" + rng.integers(0, 256, 300, dtype="uint8").tobytes()
         wire = framer.encode(content) * 3
         for chunk in (1, 2, 7, 64, len(wire)):
-            d = Delineator(framer=HdlcFramer(CRC32))
+            d = Delineator(HdlcFramer(CRC32).receive_policy)
             for off in range(0, len(wire), chunk):
                 d.push_bytes(wire[off : off + chunk])
             assert d.stats.frames_ok == 3, f"chunk={chunk}"

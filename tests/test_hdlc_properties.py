@@ -1,6 +1,5 @@
 """Property-based tests for HDLC framing layers."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +8,6 @@ from repro.hdlc import (
     Accm,
     Delineator,
     HdlcFramer,
-    bit_stuff,
-    bit_unstuff,
     escape_set,
     stuff,
     unstuff,
@@ -75,24 +72,9 @@ def test_delineator_recovers_all_frames_after_junk(contents, junk):
     """Leading junk may cost hunting octets but never valid frames."""
     framer = HdlcFramer(CRC32)
     wire = junk.replace(bytes([FLAG_OCTET]), b"\x00") + framer.encode_stream(contents)
-    delineator = Delineator(framer=HdlcFramer(CRC32))
-    got = [f.content for f in delineator.push_bytes(wire)]
+    delineator = Delineator(HdlcFramer(CRC32).receive_policy)
+    got = [content for content, good in delineator.push_bytes(wire) if good]
     assert got == contents
-
-
-@given(bits=st.lists(st.integers(min_value=0, max_value=1), max_size=400))
-def test_bit_stuff_round_trip(bits):
-    arr = np.array(bits, dtype=np.uint8)
-    assert np.array_equal(bit_unstuff(bit_stuff(arr)), arr)
-
-
-@given(bits=st.lists(st.integers(min_value=0, max_value=1), max_size=400))
-def test_bit_stuff_no_flag_pattern(bits):
-    stuffed = bit_stuff(np.array(bits, dtype=np.uint8))
-    run = 0
-    for bit in stuffed:
-        run = run + 1 if bit else 0
-        assert run <= 5
 
 
 # ------------------------------------------------- contract conformance
@@ -161,9 +143,9 @@ def test_push_bytes_matches_per_octet_push(data):
     stream = b"".join(data.draw(st.lists(_hostile_segment(framer), max_size=12)))
     cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6)))
 
-    reference = Delineator(framer=HdlcFramer(spec, max_content=_MAX_CONTENT))
+    reference = Delineator(framer.receive_policy)
     expected = [f for f in map(reference.push, stream) if f is not None]
-    chunked = Delineator(framer=HdlcFramer(spec, max_content=_MAX_CONTENT))
+    chunked = Delineator(framer.receive_policy)
     got = []
     for start, end in zip([0] + cuts, cuts + [len(stream)]):
         got += chunked.push_bytes(stream[start:end])

@@ -12,7 +12,7 @@ import pytest
 from repro.core.config import P5Config
 from repro.core.p5 import P5System, PhyWire
 from repro.hdlc import Accm
-from repro.hdlc.byte_stuffing import _VECTOR_THRESHOLD, stuffed_length
+from repro.hdlc.byte_stuffing import stuffed_length
 from repro.rtl.module import Channel, Module
 from repro.rtl.pipeline import StallPattern, StreamSink, StreamSource
 from repro.rtl.simulator import Simulator
@@ -135,7 +135,7 @@ def test_channel_slots_forbid_monkeypatching():
 def test_stuffed_length_vector_matches_scalar():
     rng = make_rng(7)
     accm = Accm.from_octets([0x11, 0x13])
-    for size in (0, 1, _VECTOR_THRESHOLD - 1, _VECTOR_THRESHOLD, 4096):
+    for size in (0, 1, 63, 64, 4096):
         data = bytes(rng.integers(0, 256, size=size, dtype="uint8"))
         escapes = {0x7E, 0x7D, 0x11, 0x13}
         expected = len(data) + sum(1 for b in data if b in escapes)
