@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hdlc.byte_stuffing import stuff
+from repro.hdlc.encoder import stuff
 
 __all__ = [
     "expected_expansion",

@@ -71,8 +71,9 @@ class DifferentialHarness:
         self.engine = FastpathEngine(self.config)
 
     # ------------------------------------------------------------ cycle side
-    def _build_loopback(self):
-        """One P5 looped to itself through a line-capturing PhyWire."""
+    def run_cycle_tx(self, contents: Sequence[bytes]) -> Tuple[P5System, bytes]:
+        """One batch through a P5 looped to itself; returns the system
+        and the wire bytes its line-capturing PhyWire saw."""
         system = P5System(self.config, name="diff")
         captured = bytearray()
 
@@ -87,10 +88,6 @@ class DifferentialHarness:
             system.tx.modules + [wire] + system.rx.modules,
             system.channels,
         )
-        return system, sim, captured
-
-    def _run_cycle_tx(self, contents: Sequence[bytes]):
-        system, sim, captured = self._build_loopback()
         for content in contents:
             system.submit(content)
         sim.run_until(
@@ -116,7 +113,7 @@ class DifferentialHarness:
     def run(self, contents: Sequence[bytes]) -> DifferentialReport:
         """Full clean-loopback differential: TX + RX, all observables."""
         tx_fast, rx_fast = self.engine.loopback(contents)
-        system, line_cycle = self._run_cycle_tx(contents)
+        system, line_cycle = self.run_cycle_tx(contents)
 
         report = DifferentialReport(
             frames=len(contents), line_octets=len(tx_fast.line)

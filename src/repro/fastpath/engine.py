@@ -1,25 +1,16 @@
-"""The frame-level fast datapath engine.
+"""The frame-level fast datapath engine: the cycle model's config bound
+to the frame-level codecs.
 
 Everything the cycle-accurate P5 does to a frame — FCS generation,
 octet stuffing, flag wrapping, delineation, destuffing, FCS checking —
-expressed as C-level ``bytes`` operations, a handful per frame rather
-than any per-octet Python:
-
-* **TX** — each frame's body (content plus an FCS from
-  :class:`~repro.crc.table.TableCrc`, which runs FCS-32 on
-  :func:`zlib.crc32`) is stuffed by a chain of
-  ``bytes.replace`` calls, escape octet first, and the whole batch is
-  joined with its flags in one ``b"".join``.
-* **RX** — the wire stream goes through the streaming receive codec
-  :class:`~repro.hdlc.delineation.Delineator` under a
-  :class:`~repro.hdlc.delineation.ReceivePolicy` set from the config
-  to mirror the cycle receiver: run-parity decoding of ``7D 7D``
-  (the FCS decides) and the ``max_frame_octets`` cut.  The codec
-  splits on the flag, destuffs each body with the inverse ``replace``
-  chain (an escape-count check sends anything else to the run-parity
-  fallback, which reproduces the cycle model's
-  :func:`~repro.core.escape_det.contract_word`) and residue-checks it
-  with the same CRC kernel.
+is done by the two :mod:`repro.hdlc` codecs with C-level ``bytes``
+operations.  :class:`FastpathEngine` holds no codec code of its own:
+from one ``P5Config`` it sets a
+:class:`~repro.hdlc.encoder.TransmitPolicy` for the
+:class:`~repro.hdlc.encoder.Encoder` and a
+:class:`~repro.hdlc.delineation.ReceivePolicy` for the
+:class:`~repro.hdlc.delineation.Delineator` that mirror the cycle
+model, and it reports in the cycle model's counter names.
 
 The engine mirrors the cycle model's observable behaviour: identical
 line bytes on TX, and on RX identical frame verdicts plus the OAM
@@ -31,15 +22,12 @@ equivalence run by run.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import P5Config
-from repro.crc.table import TableCrc
-from repro.hdlc.constants import ESCAPE_XOR
 from repro.hdlc.delineation import Delineator, DelineatorStats, ReceivePolicy
-from repro.rtl.module import ChannelTiming, TimingContract
+from repro.hdlc.encoder import Encoder, TransmitPolicy
 
 __all__ = ["FastpathEngine", "FastpathTxResult", "FastpathRxResult"]
 
@@ -117,107 +105,56 @@ class FastpathEngine:
     serve any number of independent encode/decode batches.
     """
 
-    #: Same declaration shape as the behavioural framers: stuffing can
-    #: at worst double the stream, and each frame adds two flags on
-    #: top of its FCS trailer.  Consumed by :mod:`repro.sta` through
-    #: the adapter modules in :mod:`repro.fastpath.modules`.
-    TIMING_CONTRACT = TimingContract(
-        latency_cycles=1,
-        latency_is_bound=False,
-        outputs=(ChannelTiming(max_expansion=2.0, per_frame_octets=2 + 4),),
-    )
-
     def __init__(self, config: Optional[P5Config] = None) -> None:
         self.config = config or P5Config()
-        spec = self.config.fcs
-        self.fcs_octets = spec.width // 8
-        # The CRC engine's one-shot kernel, bound once: zlib.crc32
-        # itself for FCS-32.
-        self._fcs = TableCrc(spec).crc_of
+        config = self.config
+        self.fcs_octets = config.fcs.width // 8
         #: The cycle receiver's choices: 7D 7D decodes by run parity
         #: and the FCS decides; oversize bodies are cut, not dropped.
         self.receive_policy = ReceivePolicy(
-            fcs=spec,
+            fcs=config.fcs,
             reject_escape_pairs=False,
-            max_frame_octets=self.config.max_frame_octets,
+            max_frame_octets=config.max_frame_octets,
             max_content=0,
-            flag_octet=self.config.flag_octet,
-            esc_octet=self.config.esc_octet,
+            flag_octet=config.flag_octet,
+            esc_octet=config.esc_octet,
         )
-        self._flag = bytes([self.config.flag_octet])
-        self._esc = bytes([self.config.esc_octet])
-        # Stuffing pairs (octet, escaped form), the escape octet first
-        # so no later pass re-escapes an escape it inserted.
-        escapes = self.config.escape_octets
-        others = sorted(escapes - {self.config.esc_octet})
-        pairs = [
-            (bytes([v]), self._esc + bytes([v ^ ESCAPE_XOR]))
-            for v in [self.config.esc_octet] + others
-        ]
-        # A replace chain is exact only when no escaped form's second
-        # octet is itself an escape octet: then no pass can match what
-        # an earlier pass wrote.  True for the default set and for any
-        # ACCM over the default flag and escape; any other set stuffs
-        # through one regex pass.
-        chain_ok = all(v ^ ESCAPE_XOR not in escapes for v in escapes)
-        self._stuff_pairs = pairs if chain_ok else None
-        self._escaped = dict(pairs)
-        self._escape_re = re.compile(
-            b"[" + b"".join(re.escape(octet) for octet, _ in pairs) + b"]"
+        self.encoder = Encoder(
+            TransmitPolicy(
+                fcs=config.fcs,
+                accm=config.accm_mask,
+                flag_octet=config.flag_octet,
+                esc_octet=config.esc_octet,
+            )
         )
 
     # ------------------------------------------------------------------- CRC
     def fcs_of(self, content: bytes) -> int:
         """The published FCS of one frame's content."""
-        return self._fcs(content)
+        return self.encoder.fcs_of(content)
 
     # -------------------------------------------------------------------- TX
     def encode_frame(self, content: bytes) -> bytes:
         """One frame's wire bytes: ``7E <stuffed content+FCS> 7E``."""
-        return self.encode_frames([content]).line
+        return self.encoder.encode_frames([content])
 
     def encode_frames(self, contents: Sequence[bytes]) -> FastpathTxResult:
         """Encode a whole batch of frames into one wire byte stream.
 
-        The output is bit-identical to what the cycle-accurate
-        transmitter puts on the PHY for the same submissions: each
-        frame individually wrapped in flags, frames back to back.
-        Each body (content + FCS trailer) is stuffed on its own; the
-        escape count is the growth the stuffing caused.
+        The line is what the cycle-accurate transmitter puts on the PHY
+        for the same submissions (see
+        :meth:`~repro.hdlc.encoder.Encoder.encode_frames`); the escape
+        count is the growth the stuffing caused.
         """
-        if not contents:
-            return FastpathTxResult(
-                line=b"", frames=0, content_octets=0, octets_escaped=0
-            )
-        fcs_octets = self.fcs_octets
-        flag = self._flag
-        between = flag + flag
-        wire: List[bytes] = [flag]
-        content_octets = 0
-        for content in contents:
-            if not content:
-                raise ValueError("cannot transmit an empty frame")
-            content_octets += len(content)
-            body = content + self.fcs_of(content).to_bytes(fcs_octets, "little")
-            wire.append(self._stuff(body))
-            wire.append(between)
-        wire[-1] = flag
-        line = b"".join(wire)
-        fcs_total = fcs_octets * len(contents)
+        line = self.encoder.encode_frames(contents)
+        frames = len(contents)
+        content_octets = sum(map(len, contents))
         return FastpathTxResult(
             line=line,
-            frames=len(contents),
+            frames=frames,
             content_octets=content_octets,
-            octets_escaped=len(line) - 2 * len(contents) - content_octets - fcs_total,
+            octets_escaped=len(line) - frames * (2 + self.fcs_octets) - content_octets,
         )
-
-    def _stuff(self, body: bytes) -> bytes:
-        """RFC 1662 octet stuffing of one body."""
-        if self._stuff_pairs is None:
-            return self._escape_re.sub(lambda m: self._escaped[m.group()], body)
-        for octet, escaped in self._stuff_pairs:
-            body = body.replace(octet, escaped)
-        return body
 
     # -------------------------------------------------------------------- RX
     def decode_stream(self, line: bytes) -> FastpathRxResult:
@@ -231,15 +168,16 @@ class FastpathEngine:
         prefix is force-closed as a frame of its own (destuffed and
         FCS-checked; the remainder counts as hunt discards) — and a
         destuffed frame no larger than the FCS is a silently swallowed
-        runt.  Each call starts a fresh receiver; octets after the
-        final flag are reported as the open tail, not decoded.
+        runt.  Each call starts a fresh receiver.  Octets after the
+        final flag that are still within the cut limit are reported as
+        the open tail, not decoded; a longer tail is cut like any
+        other body.
         """
-        line = bytes(line)
-        last = line.rfind(self._flag)
         rx = Delineator(self.receive_policy)
-        frames = rx.push_bytes(line[: last + 1] if last >= 0 else line)
-        open_tail = len(line) - last - 1 if last >= 0 else 0
-        return FastpathRxResult.from_stats(frames, rx.stats, open_tail)
+        frames = rx.push_bytes(line)
+        # The open frame without its opening flag (empty once a cut
+        # has left the receiver hunting).
+        return FastpathRxResult.from_stats(frames, rx.stats, len(rx.open_frame()[1:]))
 
     # -------------------------------------------------------------- loopback
     def loopback(

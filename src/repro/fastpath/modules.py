@@ -10,8 +10,9 @@ whole frame per clock:
 ``FastpathFrameSource → FastpathTx → FastpathRx → FastpathFrameSink``
 
 Each stage carries a :class:`~repro.rtl.module.TimingContract` (derived
-from :attr:`FastpathEngine.TIMING_CONTRACT`), so ``repro sta`` sees a
-fully declared datapath and ``repro lint`` a well-formed graph.  The
+from :attr:`Encoder.TIMING_CONTRACT <repro.hdlc.encoder.Encoder>`), so
+``repro sta`` sees a fully declared datapath and ``repro lint`` a
+well-formed graph.  The
 topology also *runs*: clocking it end to end is the frame-granular
 simulation of the engine, which the tests use to cross-check the
 adapters against direct engine calls.
@@ -20,11 +21,13 @@ adapters against direct engine calls.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.config import P5Config
 from repro.fastpath.engine import FastpathEngine, FastpathRxResult
 from repro.hdlc.delineation import Delineator
+from repro.hdlc.encoder import Encoder
 from repro.rtl.module import Channel, ChannelTiming, Module, TimingContract
 
 __all__ = [
@@ -83,17 +86,9 @@ class FastpathTx(Module):
         return not self.inp.can_pop
 
     def timing_contract(self) -> TimingContract:
-        base = self.engine.TIMING_CONTRACT
-        return TimingContract(
-            latency_cycles=1,
-            outputs=(
-                ChannelTiming(
-                    self.out,
-                    max_expansion=base.outputs[0].max_expansion,
-                    per_frame_octets=base.outputs[0].per_frame_octets,
-                ),
-            ),
-        )
+        # The transmit codec's abstract stream, bound to this channel.
+        (stream,) = Encoder.TIMING_CONTRACT.outputs
+        return TimingContract(latency_cycles=1, outputs=(replace(stream, channel=self.out),))
 
     def clock(self) -> None:
         if not self.inp.can_pop:

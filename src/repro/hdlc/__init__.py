@@ -5,6 +5,9 @@
   Generate / Escape Detect datapath units perform word-parallel.
 * :mod:`repro.hdlc.accm` — the async control character map that makes
   additional octets escapable (LCP-negotiable).
+* :mod:`repro.hdlc.encoder` — the transmit codec (FCS trailer,
+  stuffing, flags), the one frame-level transmitter, configured by a
+  :class:`TransmitPolicy`.
 * :mod:`repro.hdlc.framer` — whole-frame encode/decode with FCS.
 * :mod:`repro.hdlc.delineation` — the streaming receive codec (hunt,
   sync, destuff, FCS check; abort, runt and oversize handling), the one
@@ -18,12 +21,8 @@ from repro.hdlc.constants import (
     FLAG_OCTET,
 )
 from repro.hdlc.accm import Accm
-from repro.hdlc.byte_stuffing import (
-    escape_set,
-    stuff,
-    stuffed_length,
-    unstuff,
-)
+from repro.hdlc.byte_stuffing import unstuff
+from repro.hdlc.encoder import Encoder, TransmitPolicy, escape_set, stuff, stuffed_length
 from repro.hdlc.framer import DecodedFrame, HdlcFramer
 from repro.hdlc.delineation import Delineator, DelineatorStats, ReceivePolicy
 
@@ -42,4 +41,6 @@ __all__ = [
     "Delineator",
     "DelineatorStats",
     "ReceivePolicy",
+    "Encoder",
+    "TransmitPolicy",
 ]

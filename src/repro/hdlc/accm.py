@@ -10,7 +10,7 @@ P5 hardware optimises.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable
+from typing import Iterable
 
 from repro.hdlc.constants import ESC_OCTET, FLAG_OCTET
 
@@ -55,11 +55,6 @@ class Accm:
         if octet in (FLAG_OCTET, ESC_OCTET):
             return True
         return octet < 32 and bool((self.mask >> octet) & 1)
-
-    def escape_octets(self) -> FrozenSet[int]:
-        """The full set of octets this map escapes (incl. mandatory)."""
-        extra = {i for i in range(32) if (self.mask >> i) & 1}
-        return frozenset(extra | {FLAG_OCTET, ESC_OCTET})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Accm(mask=0x{self.mask:08X})"

@@ -5,8 +5,7 @@ hardware performs — here as the *behavioural golden model* the
 cycle-accurate pipelines in :mod:`repro.core.escape_pipeline` are
 checked against.
 
-* :func:`stuff` is a ``bytes.replace`` chain, one pass per escapable
-  octet.
+* :func:`~repro.hdlc.encoder.stuff` lives with the transmit codec.
 * :func:`destuff` is the receive codec's escape removal (see
   :class:`~repro.hdlc.delineation.Delineator`): the inverse chain,
   checked by the escape count, with :func:`_run_parity` as the exact
@@ -19,68 +18,34 @@ checked against.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 from repro.errors import AbortError, FramingError
-from repro.hdlc.accm import Accm
 from repro.hdlc.constants import ESCAPE_XOR, ESC_OCTET, FLAG_OCTET
 
-__all__ = ["escape_set", "stuff", "unstuff", "stuffed_length"]
+__all__ = ["unstuff"]
 
-_MANDATORY = frozenset({FLAG_OCTET, ESC_OCTET})
 _ESC = bytes([ESC_OCTET])
 
 
-def escape_set(accm: Optional[Accm] = None) -> FrozenSet[int]:
-    """The set of octet values that must be escaped on transmit."""
-    if accm is None:
-        return _MANDATORY
-    return accm.escape_octets()
-
-
-def stuffed_length(data: bytes, accm: Optional[Accm] = None) -> int:
-    """Length of ``stuff(data)`` without materialising it.
-
-    Every escapable octet costs exactly one extra octet, so this is
-    ``len(data) + count(escapable)`` — the quantity the paper's
-    resynchronisation buffer has to absorb.
-    """
-    return len(data) + sum(map(bytes(data).count, escape_set(accm)))
+def check_framing_octets(flag: int, esc: int) -> None:
+    """Reject framing octets under which stuffing is not invertible:
+    the flag, the escape and their escaped forms must all differ."""
+    octets = (flag, esc)
+    if flag == esc or any(v ^ ESCAPE_XOR in octets for v in octets):
+        raise ValueError("flag, escape and their escaped forms must all differ")
 
 
 # --------------------------------------------------------------------- stuff
-def _stuff_scalar(data: bytes, escapes: FrozenSet[int]) -> bytes:
+def _stuff_scalar(data: bytes, escapes: FrozenSet[int], esc: int = ESC_OCTET) -> bytes:
     out = bytearray()
     for byte in data:
         if byte in escapes:
-            out.append(ESC_OCTET)
+            out.append(esc)
             out.append(byte ^ ESCAPE_XOR)
         else:
             out.append(byte)
     return bytes(out)
-
-
-@lru_cache(maxsize=None)
-def _stuff_pairs(escapes: FrozenSet[int]) -> Tuple[Tuple[bytes, bytes], ...]:
-    """``(octet, escaped form)`` per escapable octet, the escape octet first."""
-    order = [ESC_OCTET] + sorted(escapes - {ESC_OCTET})
-    return tuple((bytes([v]), bytes([ESC_OCTET, v ^ ESCAPE_XOR])) for v in order)
-
-
-def stuff(data: bytes, accm: Optional[Accm] = None) -> bytes:
-    """Apply octet transparency: escape flags, escapes and ACCM octets.
-
-    ``0x7E`` becomes ``0x7D 0x5E``, ``0x7D`` becomes ``0x7D 0x5D``, and
-    any ACCM-selected control octet ``c`` becomes ``0x7D, c ^ 0x20``.
-    One ``bytes.replace`` pass per escapable octet, the escape octet
-    first, is exact: the escaped forms' second octets (``0x5D``,
-    ``0x5E`` and ``0x20``-``0x3F``) are never escapable, so no pass
-    matches what an earlier pass wrote.
-    """
-    out = bytes(data)
-    for octet, escaped in _stuff_pairs(escape_set(accm)):
-        out = out.replace(octet, escaped)
-    return out
 
 
 # ------------------------------------------------------------------- unstuff

@@ -31,8 +31,8 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from repro.crc import CRC32, CrcSpec
 from repro.crc.table import TableCrc
 from repro.errors import FramingError
-from repro.hdlc.byte_stuffing import _unstuff_scalar, destuff, unstuff_pairs
-from repro.hdlc.constants import ESCAPE_XOR, ESC_OCTET, FLAG_OCTET
+from repro.hdlc.byte_stuffing import _unstuff_scalar, check_framing_octets, destuff, unstuff_pairs
+from repro.hdlc.constants import ESC_OCTET, FLAG_OCTET
 
 __all__ = ["ReceivePolicy", "Delineator", "DelineatorStats"]
 
@@ -87,13 +87,7 @@ class ReceivePolicy:
         if self.max_frame_octets and self.max_content:
             # A cut prefix would be judged by both and counted twice.
             raise ValueError("set one size limit: max_frame_octets (cut) or max_content (drop)")
-        octets = (self.flag_octet, self.esc_octet)
-        if self.flag_octet == self.esc_octet or any(
-            v ^ ESCAPE_XOR in octets for v in octets
-        ):
-            # The destuff chain is exact only when no escaped form's
-            # second octet is itself a framing octet.
-            raise ValueError("flag, escape and their escaped forms must all differ")
+        check_framing_octets(self.flag_octet, self.esc_octet)
 
     @property
     def fcs_octets(self) -> int:

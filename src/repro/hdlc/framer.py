@@ -1,7 +1,8 @@
 """Whole-frame HDLC encode/decode with FCS, RFC 1662 sections 3–4.
 
 :class:`HdlcFramer` is the behavioural model of the complete TX/RX
-datapath the P5 implements: on transmit it appends the FCS, applies
+datapath the P5 implements: on transmit it runs the transmit codec
+(:class:`~repro.hdlc.encoder.Encoder`), which appends the FCS, applies
 octet transparency and wraps the result in flags; on receive it runs
 each body through the streaming receive codec
 (:class:`~repro.hdlc.delineation.Delineator`) and turns its verdict
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.crc import CRC32, CrcSpec, TableCrc
+from repro.crc import CRC32, CrcSpec
 from repro.errors import (
     AbortError,
     FcsError,
@@ -22,10 +23,10 @@ from repro.errors import (
     RuntFrameError,
 )
 from repro.hdlc.accm import Accm
-from repro.hdlc.byte_stuffing import stuff, unstuff
+from repro.hdlc.byte_stuffing import unstuff
 from repro.hdlc.constants import FLAG_OCTET
 from repro.hdlc.delineation import Delineator, ReceivePolicy
-from repro.rtl.module import ChannelTiming, TimingContract
+from repro.hdlc.encoder import Encoder, TransmitPolicy
 
 __all__ = ["HdlcFramer", "DecodedFrame"]
 
@@ -61,11 +62,6 @@ class DecodedFrame:
     wire_length: int
 
 
-def _fcs_trailer(spec: CrcSpec, value: int) -> bytes:
-    """Serialise an FCS value least-significant octet first (RFC 1662)."""
-    return value.to_bytes(spec.width // 8, "little")
-
-
 class HdlcFramer:
     """Encode/decode HDLC-like frames with a selectable FCS.
 
@@ -83,21 +79,7 @@ class HdlcFramer:
         :class:`~repro.errors.OversizeFrameError`.  PPP's default MRU
         is 1500 information octets; the extra headroom covers
         address/control/protocol.
-
-    The class-level :data:`TIMING_CONTRACT` is the behavioural
-    counterpart of the datapath modules' ``timing_contract()``: it
-    states the worst-case flow ratio (stuffing can double the body)
-    and the per-frame overhead (two flags plus the widest FCS) that
-    the :mod:`repro.sta` flow solver assumes of any HDLC encoder.
     """
-
-    #: Whole-frame model: zero pipeline depth, but the same worst-case
-    #: expansion the cycle-accurate escape-generate unit declares.
-    TIMING_CONTRACT = TimingContract(
-        latency_cycles=1,
-        latency_is_bound=False,
-        outputs=(ChannelTiming(max_expansion=2.0, per_frame_octets=2 + 4),),
-    )
 
     def __init__(
         self,
@@ -105,12 +87,11 @@ class HdlcFramer:
         accm: Optional[Accm] = None,
         max_content: int = ReceivePolicy.max_content,
     ) -> None:
-        if fcs_spec.width not in (16, 32):
-            raise ValueError(f"FCS must be 16 or 32 bits, got {fcs_spec.width}")
+        #: The transmit codec (its policy checks the FCS width).
+        self.encoder = Encoder(TransmitPolicy(fcs=fcs_spec, accm=accm.mask if accm else 0))
         self.fcs_spec = fcs_spec
         self.accm = accm
         self.max_content = max_content
-        self._crc = TableCrc(fcs_spec)
 
     @property
     def fcs_octets(self) -> int:
@@ -120,26 +101,24 @@ class HdlcFramer:
     # ---------------------------------------------------------------- encode
     def compute_fcs(self, content: bytes) -> int:
         """FCS over the unstuffed frame content (addr..information)."""
-        return self._crc.crc_of(content)
+        return self.encoder.fcs_of(content)
 
     def encode(self, content: bytes, *, leading_flag: bool = True) -> bytes:
         """Build the on-wire frame: ``[7E] stuffed(content + FCS) 7E``.
 
-        ``leading_flag=False`` supports back-to-back frames sharing a
-        single flag, as RFC 1662 permits and the P5 transmitter does
-        when frames are queued without idle time.
+        ``leading_flag=False`` drops the opening flag, for back-to-back
+        frames that share one flag as RFC 1662 permits
+        (:meth:`encode_stream`).  The P5 transmitter does not share
+        flags: it wraps every frame in its own pair, ``7E 7E`` between
+        frames (:meth:`~repro.hdlc.encoder.Encoder.encode_frames`).
         """
-        fcs = self.compute_fcs(content)
-        body = stuff(content + _fcs_trailer(self.fcs_spec, fcs), self.accm)
-        head = bytes([FLAG_OCTET]) if leading_flag else b""
-        return head + body + bytes([FLAG_OCTET])
+        wire = self.encoder.encode(content)
+        return wire if leading_flag else wire[1:]
 
     def encode_stream(self, contents: List[bytes]) -> bytes:
-        """Encode several frames back-to-back with shared flags."""
-        out = bytearray([FLAG_OCTET])
-        for content in contents:
-            out += self.encode(content, leading_flag=False)
-        return bytes(out)
+        """Encode several frames back to back sharing one flag between
+        frames: ``7E b1 7E b2 7E``."""
+        return _FLAG.join([b"", *map(self.encoder.body, contents), b""])
 
     # ---------------------------------------------------------------- decode
     @property

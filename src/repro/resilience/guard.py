@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import P5Config
-from repro.core.p5 import P5System, PhyWire
 from repro.core.rx import P5Receiver
 from repro.fastpath.differential import DifferentialHarness
 from repro.fastpath.engine import FastpathEngine
@@ -131,31 +130,6 @@ class _StreamingCycleRx:
             contract_violations=after["violations"] - before["violations"],
             mode=GuardMode.QUARANTINED.value,
         )
-
-
-def _cycle_tx_line(config: P5Config, contents: Sequence[bytes], timeout: int) -> bytes:
-    """One batch through the cycle transmitter; returns the wire bytes."""
-    system = P5System(config, name="guardtx")
-    captured = bytearray()
-
-    def tap(beat):
-        captured.extend(beat.payload())
-        return beat
-
-    wire = PhyWire(
-        "guardtx.wire", system.tx.phy_out, system.rx.phy_in, corrupt=tap
-    )
-    sim = Simulator(
-        system.tx.modules + [wire] + system.rx.modules, system.channels
-    )
-    for content in contents:
-        system.submit(content)
-    sim.run_until(
-        lambda: len(system.received()) >= len(contents) and system.idle(),
-        timeout=timeout,
-    )
-    sim.drain(timeout=timeout)
-    return bytes(captured)
 
 
 class FastpathGuard:
@@ -278,7 +252,7 @@ class FastpathGuard:
     def _encode_quarantined(
         self, contents: Sequence[bytes], interval: int
     ) -> bytes:
-        line = _cycle_tx_line(self.config, list(contents), self.timeout)
+        _system, line = self._harness.run_cycle_tx(list(contents))
         # Re-verification: once the fast engine agrees with the golden
         # line for reinstate_after consecutive intervals, trust it again.
         fast = self.engine.encode_frames(list(contents)).line

@@ -6,19 +6,19 @@ octet stream is mapped into the SPE with the octet boundaries aligned"
 with inter-frame time filled by flag octets.  RFC 2615 additionally
 passes the stream through the x^43+1 self-synchronous scrambler.
 
-:class:`PppOverSonet` is the full TX/RX path used by the examples:
-PPP frames in, SONET line bytes out — and back.
+:class:`PppOverSonet` is the one PoS mapper: PPP frames in, SONET line
+bytes out — and back, one frame at a time or in batches, on one
+continuous stream.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Deque, List, Sequence
 
 from repro.crc import CRC32, CrcSpec
-from repro.hdlc.constants import FLAG_OCTET
-from repro.hdlc.delineation import Delineator, DelineatorStats
-from repro.hdlc.framer import HdlcFramer
+from repro.hdlc.delineation import Delineator, DelineatorStats, ReceivePolicy
+from repro.hdlc.encoder import Encoder, TransmitPolicy
 from repro.sonet.constants import SONET_C2_PPP, SONET_C2_PPP_SCRAMBLED
 from repro.sonet.framer import SonetFramer
 from repro.sonet.rx_framer import RxCounters, SonetRxFramer
@@ -54,8 +54,8 @@ class PppOverSonet:
         self.payload_scrambling = payload_scrambling
         self.framer = SonetFramer(n, c2=c2)
         self.rx_framer = SonetRxFramer(n, expected_c2=c2)
-        self.hdlc = HdlcFramer(fcs_spec)
-        self.delineator = Delineator(self.hdlc.receive_policy)
+        self.encoder = Encoder(TransmitPolicy(fcs=fcs_spec))
+        self.delineator = Delineator(ReceivePolicy(fcs=fcs_spec))
         self._tx_scrambler = SelfSyncScrambler()
         self._rx_scrambler = SelfSyncScrambler()
         self._tx_queue: Deque[bytes] = deque()
@@ -64,7 +64,7 @@ class PppOverSonet:
     # --------------------------------------------------------------- TX side
     def queue_frame(self, content: bytes) -> None:
         """Queue one PPP frame's content (addr..info) for transmission."""
-        self._tx_queue.append(self.hdlc.encode(content))
+        self._tx_queue.append(self.encoder.encode(content))
 
     def next_line_frame(self) -> bytes:
         """Produce the next 125 us SONET frame's worth of line bytes.
@@ -78,24 +78,50 @@ class PppOverSonet:
         chunk = bytearray(self._tx_residue)
         while len(chunk) < need and self._tx_queue:
             chunk += self._tx_queue.popleft()
-        if len(chunk) < need:
-            chunk += bytes([FLAG_OCTET]) * (need - len(chunk))
         self._tx_residue = bytes(chunk[need:])
-        payload = bytes(chunk[:need])
+        return self._line_frames(bytes(chunk[:need]))[0]
+
+    def encode(self, contents: Sequence[bytes]) -> List[bytes]:
+        """Map a batch of PPP frames into complete SONET line frames.
+
+        Frames still queued go first, so batch and per-frame calls
+        continue one stream; the whole stream is padded, scrambled and
+        cut into 125 µs frames at once.
+        """
+        stream = self._tx_residue + b"".join(self._tx_queue)
+        stream += self.encoder.encode_frames(contents)
+        self._tx_queue.clear()
+        self._tx_residue = b""
+        return self._line_frames(stream)
+
+    def _line_frames(self, stream: bytes) -> List[bytes]:
+        """Pad ``stream`` with flags (the POS idle pattern) to whole
+        payloads, at least one; scramble it in one pass; frame each."""
+        need = self.framer.payload_bytes_per_frame
+        fill = -len(stream) % need if stream else need
+        stream += bytes([self.encoder.policy.flag_octet]) * fill
         if self.payload_scrambling:
-            payload = self._tx_scrambler.scramble(payload)
-        return self.framer.build(payload)
+            stream = self._tx_scrambler.scramble(stream)
+        return [
+            self.framer.build(stream[off : off + need])
+            for off in range(0, len(stream), need)
+        ]
 
     @property
     def tx_backlog_frames(self) -> int:
         return len(self._tx_queue)
 
     # --------------------------------------------------------------- RX side
-    def receive_line(self, data: bytes) -> List[bytes]:
-        """Consume line bytes; return the PPP frame contents recovered."""
+    def receive_payload(self, data: bytes) -> bytes:
+        """Consume line bytes; return the descrambled payload they carried."""
         payload = self.rx_framer.feed(data)
         if self.payload_scrambling and payload:
             payload = self._rx_scrambler.descramble(payload)
+        return payload
+
+    def receive_line(self, data: bytes) -> List[bytes]:
+        """Consume line bytes; return the PPP frame contents recovered."""
+        payload = self.receive_payload(data)
         return [content for content, good in self.delineator.push_bytes(payload) if good]
 
     # ------------------------------------------------------------- reporting

@@ -16,6 +16,7 @@ from repro.fastpath import (
     build_fastpath_loopback,
 )
 from repro.hdlc import Accm, HdlcFramer, stuffed_length
+from repro.hdlc.byte_stuffing import _stuff_scalar
 from repro.hdlc.constants import ESC_OCTET, FLAG_OCTET
 from repro.rtl.simulator import Simulator
 from repro.sonet.path import PppOverSonet
@@ -194,6 +195,19 @@ def test_sonet_fastpath_batches_form_one_scrambled_stream():
     path = SonetFastpath(3)
     for contents in (first, second):
         assert path.roundtrip(contents).recovered == contents
+    # Batch encode and per-frame queue_frame/next_line_frame on one
+    # mapper continue the same stream, whatever the order.
+    third = ppp_frame_contents(12, seed=3)
+    mixed = PppOverSonet(3)
+    for content in third:
+        mixed.queue_frame(content)
+    lines = [mixed.next_line_frame()] + mixed.encode(first)
+    for content in second:
+        mixed.queue_frame(content)
+    lines += [mixed.next_line_frame() for _ in range(2)] + mixed.encode([])
+    rx = PppOverSonet(3)
+    assert rx.receive_line(b"".join(lines)) == third + first + second
+    assert rx.hdlc_stats.total_errors() == 0
 
 
 def test_adapter_topology_matches_direct_engine_calls():
@@ -247,13 +261,17 @@ def _reference_decode(engine, line):
         ref.octets_discarded_hunting = len(line)
         return ref
     ref.octets_discarded_hunting = flags[0]
-    ref.open_tail_octets = len(line) - flags[-1] - 1
-    for start, end in zip(flags, flags[1:]):
-        body = line[start + 1 : end]
+    bodies = [line[start + 1 : end] for start, end in zip(flags, flags[1:])]
+    tail = line[flags[-1] + 1 :]
+    cap = config.max_frame_octets
+    if cap and len(tail) > cap:
+        bodies.append(tail)  # cut on its (cap+1)-th octet like a closed body
+    else:
+        ref.open_tail_octets = len(tail)
+    for body in bodies:
         if not body:
             ref.empty_bodies += 1
             continue
-        cap = config.max_frame_octets
         if cap and len(body) > cap:
             ref.oversize_drops += 1
             ref.octets_discarded_hunting += len(body) - (cap + 1)
@@ -317,19 +335,15 @@ def test_encode_frames_matches_octet_stuffing(case):
     tx = engine.encode_frames(contents)
     flag, esc = bytes([config.flag_octet]), config.esc_octet
     bodies = _bodies(engine, contents)
-    stuffed = [
-        b"".join(
-            bytes([esc, o ^ 0x20]) if o in config.escape_octets else bytes([o])
-            for o in body
-        )
-        for body in bodies
-    ]
+    stuffed = [_stuff_scalar(body, config.escape_octets, esc) for body in bodies]
     assert tx.line == b"".join(flag + s + flag for s in stuffed)
     growth = sum(len(s) - len(b) for s, b in zip(stuffed, bodies))
     assert tx.octets_escaped == growth
     if (config.flag_octet, esc) == (FLAG_OCTET, ESC_OCTET):
         accm = Accm(config.accm_mask)
         assert growth == sum(stuffed_length(b, accm) - len(b) for b in bodies)
+        framer = HdlcFramer(config.fcs, accm)
+        assert tx.line == b"".join(map(framer.encode, contents))
 
 
 @settings(max_examples=200, deadline=None)

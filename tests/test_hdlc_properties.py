@@ -7,6 +7,7 @@ from repro.crc import CRC16_X25, CRC32
 from repro.hdlc import (
     Accm,
     Delineator,
+    Encoder,
     HdlcFramer,
     escape_set,
     stuff,
@@ -104,12 +105,11 @@ def test_stuffing_never_exceeds_declared_max_expansion(data):
 
 def test_adversarial_payloads_reach_but_never_break_the_bound():
     """All-flag and all-escape payloads are the exact worst case the
-    contract (and the framer's class-level declaration) must cover."""
-    from repro.hdlc.framer import HdlcFramer as _Framer
-
+    contract (and the transmit codec's class-level declaration) must
+    cover."""
     bound = _declared_stuffing_expansion()
-    (framer_timing,) = _Framer.TIMING_CONTRACT.outputs
-    assert framer_timing.max_expansion == bound == 2.0
+    (encoder_timing,) = Encoder.TIMING_CONTRACT.outputs
+    assert encoder_timing.max_expansion == bound == 2.0
     for octet in (FLAG_OCTET, ESC_OCTET):
         payload = bytes([octet]) * 256
         assert len(stuff(payload)) == int(bound * len(payload))

@@ -12,7 +12,7 @@ import pytest
 from repro.core.config import P5Config
 from repro.core.p5 import P5System, PhyWire
 from repro.hdlc import Accm
-from repro.hdlc.byte_stuffing import stuffed_length
+from repro.hdlc import stuffed_length
 from repro.rtl.module import Channel, Module
 from repro.rtl.pipeline import StallPattern, StreamSink, StreamSource
 from repro.rtl.simulator import Simulator

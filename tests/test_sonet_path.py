@@ -79,7 +79,7 @@ class TestBoundedReceiveState:
         """2000 frames line frame by line frame: only the open body is carried."""
         path = PppOverSonet(3)
         frames = ppp_frame_contents(2000, seed=8)
-        longest_wire = max(len(path.hdlc.encode(frame)) for frame in frames)
+        longest_wire = max(len(path.encoder.encode(frame)) for frame in frames)
         for frame in frames:
             path.queue_frame(frame)
         got = []
