@@ -9,22 +9,37 @@ cuts the working fibre mid-stream, and shows the selector switching to
 protection within one frame — with zero frames lost, because both
 fibres carry the same bridged signal.
 
+The selector is the resilience layer's 1+1 ``ApsController``; here
+each fibre's receive framer is its monitor: a line that has lost frame
+alignment or counted a new OOF event this frame is failed.  With
+``hold_off=1`` the selector switches in the frame the working line
+fails.
+
 Run:  python examples/protected_ring.py
 """
 
 from repro.hdlc import Delineator, HdlcFramer
-from repro.sonet import SonetFramer, SonetRxFramer
-from repro.sonet.aps import ApsRequest, ProtectionSelector
+from repro.resilience import PROTECT, WORKING, ApsController, ApsRequest, LaneState
+from repro.sonet import FramerState, SonetFramer, SonetRxFramer
 from repro.workloads import ppp_frame_contents
+
+
+def line_state(framer: SonetRxFramer, oof_before: int) -> LaneState:
+    """One fibre's condition after a frame, as the selector reads it."""
+    in_frame = framer.state in (FramerState.SYNC, FramerState.PRESYNC)
+    if not in_frame or framer.counters.oof_events > oof_before:
+        return LaneState.FAILED
+    return LaneState.OK
 
 
 def main() -> None:
     n = 12
     tx = SonetFramer(n)
-    selector = ProtectionSelector(
-        SonetRxFramer(n, oof_threshold=1),
-        SonetRxFramer(n, oof_threshold=1),
-    )
+    lines = {
+        WORKING: SonetRxFramer(n, oof_threshold=1),
+        PROTECT: SonetRxFramer(n, oof_threshold=1),
+    }
+    selector = ApsController(hold_off=1, revertive=False)
     delineator = Delineator()
 
     frames = ppp_frame_contents(400, seed=3)
@@ -47,12 +62,18 @@ def main() -> None:
             chunk += b"\x7e" * (payload_per_frame - len(chunk))
         wire = tx.build(chunk)
         working = wire if frame_no < cut_at else bytes(len(wire))  # the cut
-        payload = selector.receive_frame(working, wire)
+        payloads, states = {}, {}
+        for lane, line_bytes in ((WORKING, working), (PROTECT, wire)):
+            framer = lines[lane]
+            oof_before = framer.counters.oof_events
+            payloads[lane] = framer.feed(line_bytes)
+            states[lane] = line_state(framer, oof_before)
+        switch = selector.evaluate(frame_no, states[WORKING], states[PROTECT])
+        payload = payloads[selector.active]
         recovered += [c for c, good in delineator.push_bytes(payload) if good]
         marker = ""
-        if selector.switch_events and selector.switch_events[-1][0] == frame_no:
-            _, target, kind = selector.switch_events[-1]
-            marker = f"  <-- APS switch to {target} ({kind.name})"
+        if switch is not None:
+            marker = f"  <-- APS switch to {switch.to_lane} ({switch.request.name})"
         if frame_no <= cut_at + 3 or marker:
             print(f"  frame {frame_no:2d}: active={selector.active:<10} "
                   f"K1=0x{selector.k1_byte():02X} "
@@ -63,8 +84,8 @@ def main() -> None:
     print(f"\nrecovered {len(recovered)}/{len(frames)} PPP frames, "
           f"FCS errors: {delineator.stats.fcs_errors}")
     assert recovered == frames, "the bridged protection path loses nothing"
-    assert selector.active == "protection"
-    assert any(k is ApsRequest.SIGNAL_FAIL for _, _, k in selector.switch_events)
+    assert selector.active == PROTECT
+    assert [s.request for s in selector.switches] == [ApsRequest.SIGNAL_FAIL]
     print("protected_ring OK: fibre cut absorbed with zero frame loss.")
 
 

@@ -26,11 +26,6 @@ Subcommands
     Supervised redundant-link chaos soak: two P5 lanes under an
     APS-style 1+1 selector, a recovery ladder, and graceful fastpath
     degradation (see :mod:`repro.resilience`).
-``bench``
-    Two-engine benchmark: the cycle-accurate P5 loopback vs. the
-    frame-level fastpath on identical workloads, differentially
-    verified, recorded in ``BENCH_fastpath.json`` (see
-    :mod:`repro.fastpath`).
 """
 
 from __future__ import annotations
@@ -180,38 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument(
         "--json", action="store_true",
         help="shorthand for --format json",
-    )
-
-    p_bch = sub.add_parser(
-        "bench", help="cycle-vs-fastpath benchmark with differential check"
-    )
-    p_bch.add_argument(
-        "--frames", type=int, default=None,
-        help="frames per workload (default: 150, or 40 with --smoke)",
-    )
-    p_bch.add_argument(
-        "--smoke", action="store_true",
-        help="small CI-sized run (fewer frames, same checks)",
-    )
-    p_bch.add_argument(
-        "--floor", type=float, default=None,
-        help="minimum imix fastpath/cycle speedup to pass (default: 20)",
-    )
-    p_bch.add_argument("--width", type=int, default=32, choices=(8, 16, 32, 64))
-    p_bch.add_argument("--seed", type=int, default=0)
-    p_bch.add_argument(
-        "--workload", action="append", default=None, dest="workloads",
-        choices=("imix", "random", "allflags"),
-        help="restrict to one workload (repeatable; default: all)",
-    )
-    p_bch.add_argument(
-        "--out", default="BENCH_fastpath.json",
-        help="where to write the JSON record (default: BENCH_fastpath.json; "
-             "'-' to skip the file)",
-    )
-    p_bch.add_argument(
-        "--json", action="store_true",
-        help="print the JSON record instead of the text summary",
     )
 
     return parser
@@ -457,37 +420,6 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.config import P5Config
-    from repro.fastpath import bench
-
-    frames = args.frames if args.frames is not None else (40 if args.smoke else 150)
-    if frames < 1:
-        print("repro bench: error: --frames must be >= 1", file=sys.stderr)
-        return 2
-    floor = args.floor if args.floor is not None else bench.DEFAULT_SPEEDUP_FLOOR
-    report = bench.run_bench(
-        frames=frames,
-        workloads=args.workloads,
-        floor=floor,
-        config=P5Config(width_bits=args.width),
-        seed=args.seed,
-    )
-    payload = json.dumps(report, indent=2, sort_keys=True)
-    if args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    if args.json:
-        print(payload)
-    else:
-        print(bench.render_text(report))
-        if args.out != "-":
-            print(f"wrote {args.out}")
-    return 0 if report["ok"] else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -511,8 +443,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_faults(args)
     if args.command == "resilience":
         return _cmd_resilience(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     return 2  # pragma: no cover - argparse enforces the choices
 
 

@@ -1,16 +1,15 @@
 """The P5 — Programmable Point-to-Point-Protocol Packet Processor.
 
-This package is the paper's primary contribution, modelled at two
-levels:
-
-* **behavioural** (:mod:`repro.core.escape_gen`,
-  :mod:`repro.core.escape_det`): word-at-a-time functional models used
-  as golden references;
-* **cycle-accurate** (:mod:`repro.core.escape_pipeline`,
-  :mod:`repro.core.tx`, :mod:`repro.core.rx`,
-  :mod:`repro.core.p5`): pipelined RTL-style models on the
-  :mod:`repro.rtl` kernel reproducing the latency, throughput and
-  backpressure behaviour of the 8-bit and 32-bit hardware designs.
+This package is the paper's primary contribution, modelled
+cycle-accurately (:mod:`repro.core.escape_pipeline`,
+:mod:`repro.core.tx`, :mod:`repro.core.rx`, :mod:`repro.core.p5`):
+pipelined RTL-style models on the :mod:`repro.rtl` kernel reproducing
+the latency, throughput and backpressure behaviour of the 8-bit and
+32-bit hardware designs.  The escape units' per-word functions
+(:func:`~repro.core.escape_pipeline.expand_word`,
+:func:`~repro.core.escape_pipeline.contract_word`) live with the
+pipeline that clocks them; the frame-level codec in :mod:`repro.hdlc`
+is the reference they are tested against.
 
 The :mod:`repro.core.oam` module implements the Protocol OAM block:
 the control/status register map and interrupt scheme through which a
@@ -18,9 +17,6 @@ host microprocessor programs the system.
 """
 
 from repro.core.config import P5Config
-from repro.core.sorter import ByteSorter
-from repro.core.escape_gen import EscapeGenerator
-from repro.core.escape_det import EscapeDetector
 from repro.core.escape_pipeline import (
     PipelinedEscapeDetect,
     PipelinedEscapeGenerate,
@@ -40,9 +36,6 @@ from repro.core.memory import (
 
 __all__ = [
     "P5Config",
-    "ByteSorter",
-    "EscapeGenerator",
-    "EscapeDetector",
     "PipelinedEscapeGenerate",
     "PipelinedEscapeDetect",
     "CrcUnit",

@@ -14,6 +14,7 @@ from typing import FrozenSet
 
 from repro.crc import CRC32, CrcSpec
 from repro.errors import ConfigError
+from repro.hdlc.byte_stuffing import check_framing_octets, escape_octets
 from repro.hdlc.constants import DEFAULT_ADDRESS, ESC_OCTET, FLAG_OCTET
 
 __all__ = ["P5Config"]
@@ -94,14 +95,10 @@ class P5Config:
         for name, octet in (("flag_octet", self.flag_octet), ("esc_octet", self.esc_octet)):
             if not 0 <= octet <= 0xFF:
                 raise ConfigError(f"{name} out of range: {octet}")
-        if self.flag_octet == self.esc_octet:
-            raise ConfigError("flag and escape octets must differ")
-        if (self.flag_octet ^ 0x20) in (self.flag_octet, self.esc_octet) or \
-                (self.esc_octet ^ 0x20) in (self.flag_octet, self.esc_octet):
-            raise ConfigError(
-                "escaped forms (octet ^ 0x20) must not collide with the "
-                "framing octets themselves"
-            )
+        try:
+            check_framing_octets(self.flag_octet, self.esc_octet)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def width_bytes(self) -> int:
@@ -111,8 +108,7 @@ class P5Config:
     @property
     def escape_octets(self) -> FrozenSet[int]:
         """The programmable escape set: flag, escape, plus ACCM picks."""
-        extra = {i for i in range(32) if (self.accm_mask >> i) & 1}
-        return frozenset(extra | {self.flag_octet, self.esc_octet})
+        return escape_octets(self.accm_mask, self.flag_octet, self.esc_octet)
 
     @property
     def line_rate_bps(self) -> float:

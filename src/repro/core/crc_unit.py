@@ -28,7 +28,8 @@ equal for every registered spec and datapath width.
 
 from __future__ import annotations
 
-from typing import List
+from collections import deque
+from typing import Deque, List
 
 from repro.crc import CrcSpec
 from repro.crc.table import TableCrc
@@ -159,11 +160,11 @@ class CrcCheck(Module):
         self.frames_ok = 0
         self.fcs_errors = 0
         self.runt_frames = 0
-        self.frame_results: List[bool] = []
-        #: Verdicts only for frames actually released downstream
-        #: (runts are swallowed), in release order — the sink pairs
-        #: these with the eof-marked frames it assembles.
-        self.released_results: List[bool] = []
+        #: Frames closed so far, runts included.
+        self.frames_checked = 0
+        #: Verdicts of released frames (runts are swallowed) not yet
+        #: taken by the sink, in release order; see :meth:`pop_verdict`.
+        self.released_results: Deque[bool] = deque()
         #: Typed records of every rejected frame (runt/FCS), in
         #: arrival order — mirrors ``WordDelineator.faults``.
         self.faults: List[FramingError] = []
@@ -172,6 +173,16 @@ class CrcCheck(Module):
     def quiescent(self) -> bool:
         # Input-driven: the holdback only moves when a beat arrives.
         return not self.inp.can_pop
+
+    def pop_verdict(self) -> bool:
+        """The FCS verdict of the oldest released frame not yet taken.
+
+        The sink calls this once per eof-marked frame it assembles;
+        the verdict is appended in the same cycle as that frame's eof
+        beat, so it is always there for a well-formed stream.
+        """
+        released = self.released_results
+        return released.popleft() if released else False
 
     @property
     def fcs_octets(self) -> int:
@@ -280,7 +291,7 @@ class CrcCheck(Module):
             self._held = self._held[: -self.fcs_octets]   # strip the trailer
             self._release(flush=True)
             self.released_results.append(good)
-        self.frame_results.append(good)
+        self.frames_checked += 1
         self.core.reset()
         self._frame_octets = 0
         self._sof_pending = True

@@ -24,11 +24,16 @@ stage 4 drains completed words through the resynchronisation buffer.
 A job therefore takes exactly ``pipeline_stages`` cycles from intake
 to first possible emission.
 
+Stage 1/2's per-word work is a pure function of the word:
+:func:`expand_word` (generate: W valid octets become W..2W) and
+:func:`contract_word` (detect: an escape is deleted and the next octet
+XORed, with one bit of ``pending_xor`` state carried across words for
+an escape in the last lane).
+
 Pass-through: a word with no octet to escape (generate) or no escape,
 flag or pending XOR (detect) is its own expansion, so the stage-1/2
 work returns its valid octets without the per-lane
-:func:`~repro.core.escape_gen.expand_word` /
-:func:`~repro.core.escape_det.contract_word` loop.  The test reads the
+:func:`expand_word` / :func:`contract_word` loop.  The test reads the
 live ``escapes`` / ``esc_octet`` / ``flag_octet`` attributes, which the
 OAM may reprogram, and the job still moves through every stage
 register on the same cycles.
@@ -45,15 +50,71 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, FrozenSet, List, Optional, Tuple
 
-from repro.core.escape_det import contract_word
-from repro.core.escape_gen import expand_word
-from repro.hdlc.constants import ESC_OCTET, FLAG_OCTET
+from repro.errors import FramingError
+from repro.hdlc.constants import ESCAPE_XOR, ESC_OCTET, FLAG_OCTET
 from repro.rtl.module import BufferBound, Channel, ChannelTiming, Module, TimingContract
 from repro.rtl.pipeline import WordBeat
 
-__all__ = ["PipelinedEscapeGenerate", "PipelinedEscapeDetect"]
+__all__ = [
+    "PipelinedEscapeGenerate",
+    "PipelinedEscapeDetect",
+    "expand_word",
+    "contract_word",
+]
 
 _DEFAULT_ESCAPES = frozenset({FLAG_OCTET, ESC_OCTET})
+
+
+def expand_word(
+    beat: WordBeat,
+    escapes: FrozenSet[int] = _DEFAULT_ESCAPES,
+    esc_octet: int = ESC_OCTET,
+) -> bytes:
+    """Stuff one word's valid lanes: W bytes become W..2W bytes.
+
+    The paper's "suddenly 5 bytes to transfer on a 32-bit channel"
+    situation is exactly a 4-valid beat expanding to 5+ bytes here.
+    """
+    out = bytearray()
+    for byte, ok in zip(beat.lanes, beat.valid):
+        if not ok:
+            continue
+        if byte in escapes:
+            out.append(esc_octet)
+            out.append(byte ^ ESCAPE_XOR)
+        else:
+            out.append(byte)
+    return bytes(out)
+
+
+def contract_word(
+    beat: WordBeat,
+    pending_xor: bool,
+    esc_octet: int = ESC_OCTET,
+    flag_octet: int = FLAG_OCTET,
+) -> Tuple[bytes, bool, int]:
+    """Destuff one word's valid lanes.
+
+    Returns ``(bytes, new_pending_xor, escapes_deleted)``.
+    ``pending_xor`` is True when the previous word ended in an escape
+    octet whose target byte is the first valid lane of this word.
+    """
+    out = bytearray()
+    deleted = 0
+    for byte, ok in zip(beat.lanes, beat.valid):
+        if not ok:
+            continue
+        if pending_xor:
+            out.append(byte ^ ESCAPE_XOR)
+            pending_xor = False
+        elif byte == esc_octet:
+            pending_xor = True          # delete: the bubble appears here
+            deleted += 1
+        elif byte == flag_octet:
+            raise FramingError("flag octet reached Escape Detect (delineation bug)")
+        else:
+            out.append(byte)
+    return bytes(out), pending_xor, deleted
 
 
 #: One word's worth of work travelling down the pipeline:
@@ -76,6 +137,8 @@ class _EscapePipelineBase(Module):
         resync_depth_words: int = 3,
     ) -> None:
         super().__init__(name)
+        if width_bytes < 1:
+            raise ValueError("width_bytes must be >= 1")
         if pipeline_stages < 2:
             raise ValueError("the unit needs at least sort + emit stages (2)")
         # A single job can complete up to 3 words (carry W-1 + 2W new

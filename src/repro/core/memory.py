@@ -223,7 +223,6 @@ class DmaRxFrameSink(Module):
         self.memory = memory
         self.ring = ring
         self._current = bytearray()
-        self._verdict_cursor = 0
         self.frames_stored = 0
         self.frames_dropped_no_descriptor = 0
 
@@ -238,7 +237,7 @@ class DmaRxFrameSink(Module):
             self._current += beat.payload()
             if beat.eof:
                 self.frames_dropped_no_descriptor += 1
-                self._verdict_cursor += 1
+                self.crc.pop_verdict()
                 self._current.clear()
             return
         beat = self.inp.pop()
@@ -247,13 +246,7 @@ class DmaRxFrameSink(Module):
             return
         frame = bytes(self._current)
         self._current.clear()
-        verdicts = self.crc.released_results
-        good = (
-            verdicts[self._verdict_cursor]
-            if self._verdict_cursor < len(verdicts)
-            else False
-        )
-        self._verdict_cursor += 1
+        good = self.crc.pop_verdict()
         stored = frame[: descriptor.length]   # truncate to the buffer
         self.memory.write(descriptor.address, stored)
         status = EOF_FLAG | (0 if good else ERR_FLAG)

@@ -262,7 +262,6 @@ class RxFrameSink(Module):
         self.stall = stall
         self._current = bytearray()
         self.frames: List[Tuple[bytes, bool]] = []
-        self._verdict_cursor = 0
 
     @property
     def quiescent(self) -> bool:
@@ -282,14 +281,7 @@ class RxFrameSink(Module):
         beat: WordBeat = self.inp.pop()
         self._current += beat.payload()
         if beat.eof:
-            verdicts = self.crc.released_results
-            good = (
-                verdicts[self._verdict_cursor]
-                if self._verdict_cursor < len(verdicts)
-                else False
-            )
-            self._verdict_cursor += 1
-            self.frames.append((bytes(self._current), good))
+            self.frames.append((bytes(self._current), self.crc.pop_verdict()))
             self._current.clear()
 
     def good_frames(self) -> List[bytes]:

@@ -11,9 +11,8 @@ The two engines are kept honest against each other by the
 :class:`~repro.fastpath.differential.DifferentialHarness`, which runs
 identical workloads through both and asserts byte-identical line
 streams, identical frame verdicts and identical OAM-visible counters.
-``repro bench`` records the speedup trajectory in
-``BENCH_fastpath.json``; see ``docs/performance.md`` for when to use
-which engine.
+The benchmark of record (``perfbench/run.py``) measures both engines;
+see ``docs/performance.md`` for when to use which engine.
 """
 
 from repro.fastpath.differential import DifferentialHarness, DifferentialReport

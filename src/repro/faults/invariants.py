@@ -188,13 +188,13 @@ def _check_oam(violation, system: P5System, submitted, damaged) -> List[Violatio
             f"{len(submitted)} were submitted",
         ))
     if system.rx.escape.resync_overflow_drops == 0 and \
-            len(crc.frame_results) != delin.frames_delineated:
+            crc.frames_checked != delin.frames_delineated:
         out.append(violation(
             "oam-reconcile",
-            f"CRC checked {len(crc.frame_results)} frames but the "
+            f"CRC checked {crc.frames_checked} frames but the "
             f"delineator closed {delin.frames_delineated}",
         ))
-    if crc.frames_ok + crc.fcs_errors + crc.runt_frames != len(crc.frame_results):
+    if crc.frames_ok + crc.fcs_errors + crc.runt_frames != crc.frames_checked:
         out.append(violation(
             "oam-reconcile",
             "CRC verdict counters do not sum to frames checked",

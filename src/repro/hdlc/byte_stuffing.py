@@ -36,6 +36,12 @@ def check_framing_octets(flag: int, esc: int) -> None:
         raise ValueError("flag, escape and their escaped forms must all differ")
 
 
+def escape_octets(accm: int, flag: int, esc: int) -> FrozenSet[int]:
+    """Every octet sent escaped: the flag, the escape and the ACCM's picks."""
+    picked = {v for v in range(32) if (accm >> v) & 1}
+    return frozenset(picked | {flag, esc})
+
+
 # --------------------------------------------------------------------- stuff
 def _stuff_scalar(data: bytes, escapes: FrozenSet[int], esc: int = ESC_OCTET) -> bytes:
     out = bytearray()
@@ -96,7 +102,7 @@ def unstuff_pairs(flag: int, esc: int) -> Tuple[Tuple[bytes, bytes], ...]:
 def _run_parity(body: bytes, esc: bytes) -> bytes:
     """Escape removal with cycle-exact run semantics.
 
-    :func:`~repro.core.escape_det.contract_word` deletes an escape and
+    :func:`~repro.core.escape_pipeline.contract_word` deletes an escape and
     XORs whatever octet follows, so within a run of consecutive escape
     octets the even-offset ones delete and the odd-offset ones are the
     restored data: the non-conforming ``7D 7D`` decodes to ``5D``, and

@@ -20,7 +20,7 @@ from typing import FrozenSet, Optional, Sequence
 from repro.crc import CRC32, CrcSpec
 from repro.crc.table import TableCrc
 from repro.hdlc.accm import Accm
-from repro.hdlc.byte_stuffing import check_framing_octets
+from repro.hdlc.byte_stuffing import check_framing_octets, escape_octets
 from repro.hdlc.constants import ESCAPE_XOR, ESC_OCTET, FLAG_OCTET
 from repro.rtl.module import ChannelTiming, TimingContract
 
@@ -61,8 +61,7 @@ class TransmitPolicy:
     @property
     def escape_octets(self) -> FrozenSet[int]:
         """Every octet sent escaped: the flag, the escape and the ACCM's picks."""
-        picked = {v for v in range(32) if (self.accm >> v) & 1}
-        return frozenset(picked | {self.flag_octet, self.esc_octet})
+        return escape_octets(self.accm, self.flag_octet, self.esc_octet)
 
 
 class Encoder:

@@ -8,9 +8,10 @@ as one long-lived 1+1 protected session:
 
 * per-lane health scoring with SD/SF hysteresis
   (:mod:`repro.resilience.health`);
-* APS-style switchover with hold-off and wait-to-restore timers,
-  signalling the same K1/K2 vocabulary as :mod:`repro.sonet.aps`
-  (:mod:`repro.resilience.aps`);
+* 1+1 APS switchover with hold-off and wait-to-restore timers,
+  signalling GR-253 K1/K2 request codes (:mod:`repro.resilience.aps`,
+  the one APS selector; a SONET tail end drives it from its receive
+  framers, see ``examples/protected_ring.py``);
 * a bounded-retry recovery ladder — resync, flush, LCP renegotiate,
   lane switch, quarantine (:mod:`repro.resilience.ladder`);
 * graceful fastpath degradation under differential spot-checks
@@ -21,7 +22,13 @@ as one long-lived 1+1 protected session:
 ``repro resilience --soak`` drives all of it from the CLI.
 """
 
-from repro.resilience.aps import PROTECT, WORKING, ApsController, SwitchRecord
+from repro.resilience.aps import (
+    PROTECT,
+    WORKING,
+    ApsController,
+    ApsRequest,
+    SwitchRecord,
+)
 from repro.resilience.chaos import ChaosEvent, chaos_schedule
 from repro.resilience.events import EventLog, ResilienceEvent
 from repro.resilience.guard import FastpathGuard, GuardMode, RxDelta
@@ -37,6 +44,7 @@ from repro.resilience.wire import LaneWire
 
 __all__ = [
     "ApsController",
+    "ApsRequest",
     "ChaosEvent",
     "EventLog",
     "FastpathGuard",

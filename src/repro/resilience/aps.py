@@ -1,11 +1,12 @@
 """1+1 APS switchover control for the supervised link.
 
 This is the head/tail protection logic GR-253 puts behind the K1/K2
-line-overhead bytes, driven here by the health engine's lane states
-instead of raw framer counters (the SONET-layer selector in
-:mod:`repro.sonet.aps` already models that lower level; this module
-reuses its :class:`~repro.sonet.aps.ApsRequest` code points so both
-layers signal the same vocabulary).
+line-overhead bytes.  The selector reads one :class:`LaneState` per
+lane per interval, so any monitor can drive it: the supervised link
+feeds it the health engine's verdicts, and a SONET tail end
+(``examples/protected_ring.py``) feeds it each receive framer's sync
+state and OOF count with ``hold_off=1``, switching in the frame the
+working line fails.
 
 Three timers shape every decision:
 
@@ -22,18 +23,28 @@ Three timers shape every decision:
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.resilience.events import EventLog
 from repro.resilience.health import LaneState
-from repro.sonet.aps import ApsRequest
 
-__all__ = ["SwitchRecord", "ApsController"]
+__all__ = ["ApsRequest", "SwitchRecord", "ApsController"]
 
 WORKING = "working"
 PROTECT = "protect"
+
+
+class ApsRequest(enum.IntEnum):
+    """K1 bits 1-4 request codes (GR-253 subset)."""
+
+    NO_REQUEST = 0b0000
+    WAIT_TO_RESTORE = 0b0110
+    SIGNAL_DEGRADE = 0b1010
+    SIGNAL_FAIL = 0b1100
+    FORCED_SWITCH = 0b1110
 
 
 @dataclass(frozen=True)

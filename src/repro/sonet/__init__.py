@@ -25,7 +25,6 @@ from repro.sonet.scrambler import FrameSyncScrambler, SelfSyncScrambler
 from repro.sonet.framer import SonetFramer, SonetFrame
 from repro.sonet.rx_framer import FramerState, SonetRxFramer
 from repro.sonet.path import PppOverSonet
-from repro.sonet.aps import ApsRequest, ProtectionSelector
 
 __all__ = [
     "SONET_C2_PPP",
@@ -40,6 +39,4 @@ __all__ = [
     "SonetRxFramer",
     "FramerState",
     "PppOverSonet",
-    "ApsRequest",
-    "ProtectionSelector",
 ]

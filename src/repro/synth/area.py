@@ -3,9 +3,9 @@
 Each builder mirrors the structure of the corresponding simulation
 module in :mod:`repro.core`, so the area scaling is *derived* from the
 same architecture the cycle-accurate model executes — most visibly for
-the byte sorter, whose ``W x (2W+1)`` decision space (see
-:meth:`repro.core.sorter.ByteSorter.decision_cases`) is the quadratic
-cone behind the paper's 11x/25x observations, and for the CRC forests,
+the byte sorter (the escape units' carry register and barrel shift),
+whose ``W x (2W+1)`` decision space (:func:`_sorter_cases`) is the
+quadratic cone behind the paper's 11x/25x observations, and for the CRC forests,
 whose XOR fan-ins come from the *actual* Pei–Zukowski matrices built
 in :mod:`repro.crc.matrix`.
 
@@ -61,7 +61,12 @@ DECISION_CASE_LUTS = 8
 
 
 def _sorter_cases(width_bytes: int) -> int:
-    """The W x (2W+1) decision space (see ByteSorter.decision_cases)."""
+    """The byte sorter's decision space: carry occupancy 0..W-1 x 0..2W new octets.
+
+    Hardware selects, for each output lane, one of these shift
+    configurations, each a wide multiplexer: the quadratic-in-W growth
+    behind the paper's 11x area observation.
+    """
     return width_bytes * (2 * width_bytes + 1)
 
 

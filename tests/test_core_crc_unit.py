@@ -87,7 +87,7 @@ class TestCheck:
         unit, sink = run_check([with_fcs(content)], width)
         assert sink.data() == content
         assert unit.frames_ok == 1 and unit.fcs_errors == 0
-        assert unit.released_results == [True]
+        assert list(unit.released_results) == [True]
 
     def test_detects_corruption(self, rng):
         content = rng.integers(0, 256, 37, dtype="uint8").tobytes()
@@ -95,14 +95,14 @@ class TestCheck:
         wire[5] ^= 0x80
         unit, sink = run_check([bytes(wire)])
         assert unit.fcs_errors == 1
-        assert unit.released_results == [False]
+        assert list(unit.released_results) == [False]
 
     def test_runt_swallowed(self):
         unit, sink = run_check([b"\x01\x02\x03"])   # shorter than FCS-32
         assert unit.runt_frames == 1
         assert sink.data() == b""
-        assert unit.released_results == []
-        assert unit.frame_results == [False]
+        assert list(unit.released_results) == []
+        assert unit.frames_checked == 1
 
     def test_mixed_good_and_bad(self, rng):
         good = with_fcs(b"good frame content")
@@ -110,7 +110,7 @@ class TestCheck:
         bad[2] ^= 1
         unit, sink = run_check([good, bytes(bad), good])
         assert unit.frames_ok == 2 and unit.fcs_errors == 1
-        assert unit.released_results == [True, False, True]
+        assert list(unit.released_results) == [True, False, True]
 
     def test_fcs16_mode(self, rng):
         content = rng.integers(0, 256, 25, dtype="uint8").tobytes()

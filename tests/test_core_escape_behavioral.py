@@ -1,12 +1,56 @@
-"""Unit tests for the behavioural escape generate/detect golden models."""
+"""Escape generate/detect behaviour: the per-word functions and whole frames.
+
+:func:`expand_word` / :func:`contract_word` are the pipelined units'
+stage-1/2 work; the frame-level cases clock whole frames through
+:class:`PipelinedEscapeGenerate` / :class:`PipelinedEscapeDetect` and
+hold them to the RFC 1662 codec (:func:`repro.hdlc.stuff`).
+"""
 
 import pytest
 
-from repro.core.escape_det import EscapeDetector, contract_word
-from repro.core.escape_gen import EscapeGenerator, expand_word
+from repro.core.escape_pipeline import (
+    PipelinedEscapeDetect,
+    PipelinedEscapeGenerate,
+    contract_word,
+    expand_word,
+)
 from repro.errors import FramingError
 from repro.hdlc import stuff
-from repro.rtl.pipeline import WordBeat, beats_from_bytes, bytes_from_beats
+from repro.rtl import Channel, Simulator, StreamSink, StreamSource, beats_from_bytes
+from repro.rtl.pipeline import WordBeat
+
+
+def run_unit(unit_cls, frames, width):
+    """Clock ``frames`` back to back through one escape unit.
+
+    Returns the unit and its output beats.
+    """
+    c_in, c_out = Channel("in", capacity=2), Channel("out", capacity=2)
+    beats = [beat for frame in frames for beat in beats_from_bytes(frame, width)]
+    src = StreamSource("src", c_in, beats)
+    unit = unit_cls(
+        "unit", c_in, c_out, width_bytes=width,
+        pipeline_stages=4 if width > 1 else 2,
+    )
+    sink = StreamSink("sink", c_out)
+    sim = Simulator([src, unit, sink], [c_in, c_out])
+    sim.run_until(
+        lambda: src.done and unit.idle and not c_in.can_pop and not c_out.can_pop,
+        timeout=100_000,
+    )
+    return unit, sink.beats
+
+
+def frames_of(beats):
+    """Split an output beat stream at its eof marks."""
+    frames, current = [], bytearray()
+    for beat in beats:
+        current += beat.payload()
+        if beat.eof:
+            frames.append(bytes(current))
+            current.clear()
+    assert not current, "output ends inside a frame"
+    return frames
 
 
 class TestExpandWord:
@@ -64,60 +108,50 @@ class TestContractWord:
             contract_word(beat, False)
 
 
+def _random_frames(rng, count=20):
+    return [
+        rng.integers(0, 256, int(rng.integers(1, 300)), dtype="uint8").tobytes()
+        for _ in range(count)
+    ]
+
+
 @pytest.mark.parametrize("width", [1, 2, 4, 8], ids=lambda w: f"W{w}")
 class TestRoundTrips:
     def test_generator_matches_rfc_stuffing(self, width, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 300))
-            data = rng.integers(0, 256, n, dtype="uint8").tobytes()
-            gen = EscapeGenerator(width)
-            out = bytes_from_beats(gen.process_frame(data))
-            assert out == stuff(data)
+        frames = _random_frames(rng)
+        _, beats = run_unit(PipelinedEscapeGenerate, frames, width)
+        assert frames_of(beats) == [stuff(data) for data in frames]
 
     def test_detector_inverts_generator(self, width, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 300))
-            data = rng.integers(0, 256, n, dtype="uint8").tobytes()
-            stuffed = bytes_from_beats(EscapeGenerator(width).process_frame(data))
-            back = bytes_from_beats(EscapeDetector(width).process_frame(stuffed))
-            assert back == data
+        frames = _random_frames(rng)
+        _, stuffed = run_unit(PipelinedEscapeGenerate, frames, width)
+        _, beats = run_unit(PipelinedEscapeDetect, frames_of(stuffed), width)
+        assert frames_of(beats) == frames
 
     def test_frame_marks(self, width, rng):
-        data = rng.integers(0, 256, 64, dtype="uint8").tobytes()
-        beats = EscapeGenerator(width).process_frame(data)
+        frames = _random_frames(rng, count=3)
+        _, beats = run_unit(PipelinedEscapeGenerate, frames, width)
         assert beats[0].sof and beats[-1].eof
-        assert sum(b.sof for b in beats) == 1
-        assert sum(b.eof for b in beats) == 1
+        assert sum(b.sof for b in beats) == len(frames)
+        assert sum(b.eof for b in beats) == len(frames)
+        # Every sof opens the beat after an eof (or the stream).
+        opens = [i for i, b in enumerate(beats) if b.sof]
+        assert opens == [0] + [i + 1 for i, b in enumerate(beats[:-1]) if b.eof]
 
     def test_escape_accounting_symmetric(self, width):
         data = bytes([0x7E, 0x41, 0x7D, 0x42] * 10)
-        gen = EscapeGenerator(width)
-        stuffed = bytes_from_beats(gen.process_frame(data))
-        det = EscapeDetector(width)
-        det.process_frame(stuffed)
-        assert gen.flags_escaped == det.escapes_deleted == 20
+        gen, stuffed = run_unit(PipelinedEscapeGenerate, [data], width)
+        det, _ = run_unit(PipelinedEscapeDetect, frames_of(stuffed), width)
+        assert gen.octets_escaped == det.octets_deleted == 20
 
 
 class TestStreamingFrames:
     def test_back_to_back_frames_keep_alignment(self):
-        gen = EscapeGenerator(4)
-        out1 = bytes_from_beats(
-            [b for beat in beats_from_bytes(b"abcde", 4) for b in gen.feed(beat)]
-        )
-        out2 = bytes_from_beats(
-            [b for beat in beats_from_bytes(b"xyz", 4) for b in gen.feed(beat)]
-        )
-        assert out1 == b"abcde"
-        assert out2 == b"xyz"
-
-    def test_detector_dangling_escape_raises(self):
-        det = EscapeDetector(4)
-        with pytest.raises(FramingError):
-            det.process_frame(bytes([0x41, 0x7D]))
+        _, beats = run_unit(PipelinedEscapeGenerate, [b"abcde", b"xyz"], 4)
+        assert frames_of(beats) == [b"abcde", b"xyz"]
 
     def test_detector_recovers_after_error(self):
-        det = EscapeDetector(4)
-        with pytest.raises(FramingError):
-            det.process_frame(bytes([0x41, 0x7D]))
-        # State was reset: a clean frame now decodes.
-        assert bytes_from_beats(det.process_frame(b"clean")) == b"clean"
+        det, beats = run_unit(PipelinedEscapeDetect, [bytes([0x41, 0x7D]), b"clean"], 4)
+        assert det.dangling_escape_errors == 1
+        # The pending XOR died with the frame: the next frame decodes clean.
+        assert frames_of(beats) == [bytes([0x41]), b"clean"]

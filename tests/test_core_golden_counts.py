@@ -15,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import P5Config, P5System
-from repro.core.escape_det import contract_word
-from repro.core.escape_gen import expand_word
-from repro.core.escape_pipeline import PipelinedEscapeDetect, PipelinedEscapeGenerate
+from repro.core.escape_pipeline import (
+    PipelinedEscapeDetect,
+    PipelinedEscapeGenerate,
+    contract_word,
+    expand_word,
+)
 from repro.core.oam import (
     ADDR_DANGLING_ESCAPES,
     ADDR_ESC_DELETED,

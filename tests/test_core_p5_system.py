@@ -86,6 +86,9 @@ class TestErrorInjection:
         assert all(c in frames for c in ok)
         fcs_counted = b.rx.crc.fcs_errors + b.rx.crc.runt_frames
         assert fcs_counted >= 1
+        # The sink took every released verdict: the CRC stage keeps none.
+        assert not b.rx.crc.released_results
+        assert b.rx.crc.frames_checked == len(b.received()) + b.rx.crc.runt_frames
 
     def test_clean_wire_all_good(self):
         frames = ppp_frame_contents(10, seed=6)

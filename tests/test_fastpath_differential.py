@@ -8,12 +8,15 @@ two engines — up to the one documented force-close divergence that
 ``run_rx`` already excludes (see ``repro.fastpath.differential``).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import P5Config
 from repro.fastpath import DifferentialHarness, FastpathEngine
 from repro.hdlc.constants import ESC_OCTET, FLAG_OCTET
+from repro.utils.rng import make_rng
+from repro.workloads import ppp_frame_contents
 
 # Cycle runs cost milliseconds per frame; keep batches honest but small.
 frame_batches = st.lists(
@@ -21,6 +24,25 @@ frame_batches = st.lists(
 )
 
 _SETTINGS = dict(max_examples=12, deadline=None)
+
+
+def _random_batch(frames):
+    rng = make_rng(0)
+    return [bytes(rng.integers(0, 256, size=256, dtype="uint8")) for _ in range(frames)]
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        lambda n: ppp_frame_contents(n, seed=0),
+        _random_batch,
+        lambda n: [bytes([FLAG_OCTET]) * 256] * n,
+    ],
+    ids=["imix", "random", "allflags"],
+)
+def test_standard_batches_agree(batch):
+    """40-frame IMIX, random 256-octet and all-flag batches, default config."""
+    DifferentialHarness(P5Config()).run(batch(40)).assert_ok()
 
 
 @settings(**_SETTINGS)

@@ -130,7 +130,7 @@ def test_rx_oversize_boundary_frame_still_decodes():
 def _destuff(body, esc_octet=ESC_OCTET):
     """Escape removal with cycle-exact run semantics (the reference).
 
-    :func:`~repro.core.escape_det.contract_word` deletes an escape
+    :func:`~repro.core.escape_pipeline.contract_word` deletes an escape
     and XORs whatever octet follows — so within a maximal run of
     consecutive escape octets, the even-offset ones delete and the
     odd-offset ones are themselves the restored data (the

@@ -11,7 +11,7 @@ from repro.resilience import (
     SupervisorConfig,
 )
 from repro.resilience.guard import GuardMode
-from repro.sonet.aps import ApsRequest
+from repro.resilience.aps import ApsRequest
 
 
 def small_config(**overrides):

@@ -17,7 +17,7 @@ from repro.resilience import (
     chaos_schedule,
 )
 from repro.resilience.ladder import LADDER
-from repro.sonet.aps import ApsRequest
+from repro.resilience.aps import ApsRequest
 
 
 def clean(expected=17):
