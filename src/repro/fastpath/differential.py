@@ -16,12 +16,9 @@ contents in, frames out).  :meth:`DifferentialHarness.run_rx` feeds an
 *arbitrary* wire stream — crafted aborts, runts, oversize bodies —
 into both receivers.  Oversize cuts are mirrored exactly (the cycle
 delineator's force-closed cut prefix is deterministic in the octet
-domain, so the engine reproduces it).  One modelled divergence remains
-and is excluded: whether an *aborted* frame's already-shipped prefix
-is force-closed as a bad-FCS frame or silently dropped depends on the
-cycle receiver's word alignment, which a frame-level engine cannot
-see.  Good frames and the error counters still agree, and that is
-what ``run_rx`` asserts.
+domain, so the engine reproduces it), and both receivers drop an
+aborted frame whole, whatever part of it the cycle receiver had
+already shipped, so every frame list and verdict is compared.
 """
 
 from __future__ import annotations
@@ -176,24 +173,24 @@ class DifferentialHarness:
     def run_rx(self, line: bytes) -> DifferentialReport:
         """RX-only differential over an arbitrary (possibly damaged) line.
 
-        Compares good-frame contents and the delineation error
-        counters; bad-FCS frame *lists* are excluded because the cycle
-        receiver may force-close an aborted frame's already-shipped
-        prefix that the frame-level engine drops whole (see the module
-        docstring).
+        Compares the received frames with their FCS verdicts, and the
+        verdict and delineation error counters.
         """
         rx_cycle = self._run_cycle_rx(line)
         rx_fast = self.engine.decode_stream(line)
 
         report = DifferentialReport(frames=len(rx_fast.frames), line_octets=len(line))
         note = report.mismatches.append
-        if rx_cycle.good_frames() != rx_fast.good_frames():
+        if rx_cycle.frames != rx_fast.frames:
             note(
-                f"good frames differ: cycle {len(rx_cycle.good_frames())} vs "
-                f"fastpath {len(rx_fast.good_frames())}"
+                f"received frames differ: cycle {len(rx_cycle.frames)} "
+                f"({len(rx_cycle.good_frames())} good) vs fastpath "
+                f"{len(rx_fast.frames)} ({len(rx_fast.good_frames())} good)"
             )
         pairs: List[Tuple[str, int, int]] = [
             ("RX_FRAMES_OK", rx_cycle.crc.frames_ok, rx_fast.frames_ok),
+            ("RX_FCS_ERRORS", rx_cycle.crc.fcs_errors, rx_fast.fcs_errors),
+            ("RX_RUNTS", rx_cycle.crc.runt_frames, rx_fast.runt_frames),
             ("RX_ABORTS", rx_cycle.delineator.aborts, rx_fast.aborts),
             (
                 "RX_OVERSIZE",

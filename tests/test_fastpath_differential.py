@@ -3,9 +3,8 @@
 These are the satellite-3 properties: random frame batches, random
 ACCM escape sets, and adversarial wire streams (runts, aborts,
 oversize bodies, flagless noise) all produce byte-identical line
-streams, identical frame verdicts and identical OAM counters on the
-two engines — up to the one documented force-close divergence that
-``run_rx`` already excludes (see ``repro.fastpath.differential``).
+streams, identical frame lists with their verdicts and identical OAM
+counters on the two engines.
 """
 
 import pytest
@@ -87,6 +86,27 @@ def test_rx_agreement_on_damaged_lines(data):
         else:
             pieces.append(bytes([FLAG_OCTET]))
     DifferentialHarness().run_rx(b"".join(pieces)).assert_ok()
+
+
+@pytest.mark.parametrize("width_bits", [8, 32])
+@pytest.mark.parametrize("length", range(1, 12))
+def test_aborted_complete_frame_is_dropped_whole(width_bits, length):
+    """A complete frame whose closing flag is replaced by ``7D 7E``.
+
+    Its FCS is intact, and part of it has already shipped when the
+    abort arrives, yet both receivers drop it whole: one abort, no
+    FCS verdict, and only the next frame lands.
+    """
+    harness = DifferentialHarness(P5Config(width_bits=width_bits))
+    encode = harness.engine.encode_frame
+    content = bytes(range(0x30, 0x30 + length))
+    line = encode(content)[:-1] + bytes([ESC_OCTET, FLAG_OCTET]) + encode(b"next")
+    harness.run_rx(line).assert_ok()
+    rx = harness._run_cycle_rx(line)
+    assert rx.frames == [(b"next", True)]
+    assert (rx.delineator.aborts, rx.crc.fcs_errors, rx.escape.dangling_escape_errors) == (
+        1, 0, 0
+    )
 
 
 @settings(max_examples=6, deadline=None)

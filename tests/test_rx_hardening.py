@@ -68,21 +68,22 @@ class TestAbort:
 
     @pytest.mark.parametrize("width", [8, 32], ids=["8bit", "32bit"])
     def test_long_abort_cannot_merge_frames(self, width, rng):
-        """An abort after beats shipped must close the partial frame."""
+        """An abort after beats shipped drops the whole partial frame."""
         config = P5Config(width_bits=width)
         partial = rng.integers(1, 0x7D, 40, dtype="uint8").tobytes()
         follower = rng.integers(0, 256, 40, dtype="uint8").tobytes()
         wire = FLAG + partial + ESC + FLAG + good_wire(config, follower)
         rx = run_rx(wire, config)
         assert rx.delineator.aborts == 1
-        # The aborted fragment must not swallow the follower.
-        assert rx.good_frames() == [follower]
-        # It surfaced somewhere as an error, never as a good frame.
+        # The aborted fragment neither swallows the follower nor lands
+        # in receive memory, and it is counted only as the abort.
+        assert rx.frames == [(follower, True)]
         errors = (
             rx.crc.fcs_errors + rx.crc.runt_frames
             + rx.escape.dangling_escape_errors
         )
-        assert errors >= 1
+        assert errors == 0
+        assert rx.crc.frames_checked == rx.delineator.frames_delineated == 1
 
     def test_abort_faults_carry_context(self):
         config = P5Config.thirty_two_bit()
