@@ -17,6 +17,7 @@ from repro.core.oam import ProtocolOam
 from repro.core.rx import P5Receiver
 from repro.core.tx import P5Transmitter
 from repro.rtl.module import Channel, ChannelTiming, Module, TimingContract
+from repro.rtl.pipeline import WordBeat
 from repro.rtl.simulator import Simulator
 
 __all__ = ["PhyWire", "P5System", "DuplexResult", "run_duplex_exchange"]
@@ -28,7 +29,9 @@ class PhyWire(Module):
     Models the PHY/fibre between transmitter and receiver: fixed
     one-cycle latency, no reordering, optional per-octet corruption
     hook (used by the error-injection tests via
-    :mod:`repro.phy.line`).
+    :mod:`repro.phy.line`).  The hook takes and returns a
+    :class:`~repro.rtl.pipeline.WordBeat` of the input channel's
+    width; the word is shown as a beat only while a hook is set.
     """
 
     def __init__(self, name: str, inp: Channel, out: Channel, *, corrupt=None) -> None:
@@ -43,14 +46,14 @@ class PhyWire(Module):
         # Nothing on the wire this cycle; a full far end is *not*
         # quiescent only because clock() would do nothing either way,
         # but an empty input is the only state-free guarantee.
-        return not self.inp.can_pop
+        return not self.inp
 
     def clock(self) -> None:
-        if self.inp.can_pop and self.out.can_push:
-            beat = self.inp.pop()
+        if self.inp and self.out.can_push:
+            word = self.inp.pop()
             if self.corrupt is not None:
-                beat = self.corrupt(beat)
-            self.out.push(beat)
+                word = tuple(self.corrupt(WordBeat.from_word(word, self.inp.width_bytes)))
+            self.out.push(word)
             self.words_moved += 1
 
     def timing_contract(self) -> TimingContract:
@@ -90,7 +93,7 @@ class P5System:
         """Nothing in flight anywhere in this system."""
         return (
             not self.tx.busy
-            and not any(ch.can_pop for ch in self.channels)
+            and not any(self.channels)
             and self.rx.escape.idle
         )
 

@@ -17,7 +17,7 @@ from repro.core.crc_unit import CrcGenerate
 from repro.core.escape_pipeline import PipelinedEscapeGenerate
 from repro.hdlc.constants import FLAG_OCTET
 from repro.rtl.module import Channel, ChannelTiming, Module, TimingContract
-from repro.rtl.pipeline import WordBeat, beats_from_bytes
+from repro.rtl.pipeline import Word, words_from_bytes
 
 __all__ = ["TxFrameSource", "FlagInserter", "P5Transmitter"]
 
@@ -27,7 +27,7 @@ class TxFrameSource(Module):
 
     Frames (already-assembled PPP content: address/control/protocol/
     information) are queued by the host via :meth:`submit`; the module
-    streams each as word beats.  The ``enabled`` flag is the OAM's
+    streams each as words.  The ``enabled`` flag is the OAM's
     transmitter-enable control bit.
     """
 
@@ -36,7 +36,7 @@ class TxFrameSource(Module):
         self.out = self.writes(out)
         self.width_bytes = width_bytes
         self.queue: Deque[bytes] = deque()
-        self._beats: Deque[WordBeat] = deque()
+        self._words: Deque[Word] = deque()
         self.enabled = True
         self.frames_fetched = 0
 
@@ -49,13 +49,13 @@ class TxFrameSource(Module):
     @property
     def busy(self) -> bool:
         """Data still waiting or in flight from this module."""
-        return bool(self.queue or self._beats)
+        return bool(self.queue or self._words)
 
     @property
     def quiescent(self) -> bool:
         # Disabled, or nothing queued and nothing in flight: clocking
         # would touch no channel and no state.
-        return not self.enabled or not (self.queue or self._beats)
+        return not self.enabled or not (self.queue or self._words)
 
     def timing_contract(self) -> TimingContract:
         # One output register: a queued word reaches the channel on
@@ -68,14 +68,14 @@ class TxFrameSource(Module):
     def clock(self) -> None:
         if not self.enabled:
             return
-        if not self._beats and self.queue:
-            self._beats.extend(
-                beats_from_bytes(self.queue.popleft(), self.width_bytes)
+        if not self._words and self.queue:
+            self._words.extend(
+                words_from_bytes(self.queue.popleft(), self.width_bytes)
             )
             self.frames_fetched += 1
-        if self._beats and self.out.can_push:
-            self.out.push(self._beats.popleft())
-        elif self._beats:
+        if self._words and self.out.can_push:
+            self.out.push(self._words.popleft())
+        elif self._words:
             self.note_stall()
 
 
@@ -111,10 +111,10 @@ class FlagInserter(Module):
     def quiescent(self) -> bool:
         # clock() is input-driven: with nothing to pop it returns
         # immediately, whatever the carry holds.
-        return not self.inp.can_pop
+        return not self.inp
 
     def capacity_needs(self):
-        # Worst case one beat closes a frame: carry (<= W-1) + W new
+        # Worst case one word closes a frame: carry (<= W-1) + W new
         # octets + 2 flags must fit the output in one burst.
         w = self.width_bytes
         words = (w - 1 + w + 2 + w - 1) // w
@@ -136,22 +136,21 @@ class FlagInserter(Module):
         )
 
     def clock(self) -> None:
-        if not self.inp.can_pop:
+        if not self.inp:
             return
-        beat: WordBeat = self.inp.peek()
+        octets, sof, eof = self.inp.peek()
         w = self.width_bytes
-        payload = beat.payload()
-        total = len(self._carry) + len(payload) + beat.sof + beat.eof
-        if self.out.capacity - self.out.occupancy < (total + w - 1) // w:
+        total = len(self._carry) + len(octets) + bool(sof) + bool(eof)
+        if self.out.capacity - len(self.out) < (total + w - 1) // w:
             self.note_stall()
             return
         self.inp.pop()
         carry = self._carry
-        if beat.sof:
+        if sof:
             carry += bytes((self.flag_octet,))
             self.flags_inserted += 1
-        carry += payload
-        if beat.eof:
+        carry += octets
+        if eof:
             carry += bytes((self.flag_octet,))
             self.flags_inserted += 1
             self.frames_wrapped += 1
@@ -159,7 +158,7 @@ class FlagInserter(Module):
         else:
             end = len(carry) - len(carry) % w
         for off in range(0, end, w):
-            self.out.push(WordBeat.from_bytes(carry[off : off + w], w))
+            self.out.push((carry[off : off + w], False, False))
         self._carry = carry[end:]
 
 
@@ -178,7 +177,7 @@ class P5Transmitter:
     def __init__(self, config: P5Config, *, name: str = "tx") -> None:
         self.config = config
         w = config.width_bytes
-        self.ch_content = Channel(f"{name}.content", capacity=2)
+        self.ch_content = Channel(f"{name}.content", capacity=2, width_bytes=w)
         # The CRC generator flushes content tail + FCS trailer in one
         # end-of-frame burst: up to (2W-1+fcs)/W + 1 words.  Size the
         # channel to absorb the burst or the generator deadlocks
@@ -186,9 +185,9 @@ class P5Transmitter:
         # FCS alone is 4 words).
         fcs_octets = config.fcs.width // 8
         crc_burst = (2 * w - 1 + fcs_octets) // w + 2
-        self.ch_crc = Channel(f"{name}.crc", capacity=max(4, crc_burst))
-        self.ch_escaped = Channel(f"{name}.escaped", capacity=4)
-        self.phy_out = Channel(f"{name}.phy", capacity=4)
+        self.ch_crc = Channel(f"{name}.crc", capacity=max(4, crc_burst), width_bytes=w)
+        self.ch_escaped = Channel(f"{name}.escaped", capacity=4, width_bytes=w)
+        self.phy_out = Channel(f"{name}.phy", capacity=4, width_bytes=w)
 
         self.source = TxFrameSource(f"{name}.source", self.ch_content, width_bytes=w)
         self.crc = CrcGenerate(
@@ -219,7 +218,7 @@ class P5Transmitter:
         """Whether any stage still holds data (excluding phy_out)."""
         return (
             self.source.busy
-            or any(ch.can_pop for ch in self.channels[:-1])
+            or any(self.channels[:-1])
             or not self.escape.idle
             or bool(self.crc._carry)
             or bool(self.flags._carry)

@@ -175,18 +175,26 @@ class BeatFaultInjector(Module):
         if self.out.capacity - self.out.occupancy < 2:
             self.note_stall()
             return
-        beat: WordBeat = self.inp.pop()
-        if self.corrupt is not None:
-            beat = self.corrupt(beat)
+        word = self.inp.pop()
         index = self.beats_seen
         self.beats_seen += 1
-        if self._burst_bits_left > 0:
-            emit = [self._continue_burst(beat)]
-        elif self._armed is not None and index >= self._armed["after_beats"]:
-            emit = self._fire(beat, index)
+        burst = self._burst_bits_left > 0
+        fire = self._armed is not None and index >= self._armed["after_beats"]
+        if burst or fire or self.corrupt is not None:
+            # The faults act on the word shown as a beat of the wire's width.
+            beat = WordBeat.from_word(word, self.inp.width_bytes)
+            if self.corrupt is not None:
+                beat = self.corrupt(beat)
+            if burst:
+                emit = [self._continue_burst(beat)]
+            elif fire:
+                emit = self._fire(beat, index)
+            else:
+                emit = [beat]
+            words = [tuple(beat) for beat in emit]
         else:
-            emit = [beat]
-        for word in emit:
+            words = [word]
+        for word in words:
             self.out.push(word)
             self.words_moved += 1
 

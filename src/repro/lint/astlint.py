@@ -7,8 +7,9 @@ body follows the handshake discipline the hardware imposes:
   ``can_push`` test, or a room computation over the channel's
   ``capacity``/``occupancy`` (the multi-word-burst form used by the
   CRC and framing stages);
-* a ``pop()``/``peek()`` only happens once ``can_pop`` (valid) is
-  established;
+* a ``pop()``/``peek()`` only happens once valid is established — a
+  ``can_pop`` test, or a truth test of the channel itself (``if
+  self.inp:``; a channel is its queue, so its truth is ``can_pop``);
 * modules only operate on channels bound directly on ``self`` (their
   own ports);
 * the programmable framing octets come from
@@ -66,10 +67,23 @@ def _guard_keys(test: ast.AST) -> Tuple[Set[str], Set[str]]:
 
     Returns ``(push_guarded, pop_guarded)`` receiver chains: a mention
     of ``X.can_push`` / ``X.capacity`` / ``X.occupancy`` guards pushes
-    to ``X``; a mention of ``X.can_pop`` guards pops from ``X``.
+    to ``X``; a mention of ``X.can_pop``, or ``X`` itself tested for
+    truth (``if X``, ``if not X``, an operand of ``and``/``or``),
+    guards pops from ``X``.
     """
     push_keys: Set[str] = set()
     pop_keys: Set[str] = set()
+    truth_tested = [test]
+    while truth_tested:
+        node = truth_tested.pop()
+        if isinstance(node, ast.BoolOp):
+            truth_tested.extend(node.values)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            truth_tested.append(node.operand)
+        else:
+            receiver = _dotted(node)
+            if receiver is not None:
+                pop_keys.add(receiver)
     for node in ast.walk(test):
         if not isinstance(node, ast.Attribute):
             continue

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.errors import BackpressureOverflow
 
@@ -28,14 +28,20 @@ __all__ = [
 ]
 
 
-class Channel:
+class Channel(deque):
     """A registered link of fixed capacity between two modules.
 
     ``capacity=1`` models a single pipeline register; larger values
     model a FIFO of that depth.  :meth:`push` into a full channel
     raises :class:`~repro.errors.BackpressureOverflow` — modules must
-    consult :attr:`can_push` first, which is precisely the ready/valid
-    discipline of the hardware.
+    consult :attr:`can_push` (or the room left, ``capacity -
+    occupancy``) first, which is precisely the ready/valid discipline
+    of the hardware.
+
+    The channel *is* its queue: a :class:`~collections.deque` of the
+    words in flight, so ``len(ch)`` is the occupancy and ``if ch:``
+    reads valid (the same as :attr:`can_pop`) at the cost of a truth
+    test.  Channels compare and hash by identity, never by contents.
 
     Occupancy statistics are tracked so benchmarks can verify the
     paper's "extremely low resynchronisation buffer" claim.
@@ -47,7 +53,10 @@ class Channel:
     the topology before a single cycle is clocked; simulation
     behaviour never depends on them.  ``registered=False`` declares a
     wire-only (combinational) link for DRC purposes; the simulation
-    semantics are identical.
+    semantics are identical.  ``width_bytes``, when given, is the
+    datapath width of the words the channel carries, which the edges
+    (PHY hooks, fault injectors, sinks, tracers) use to show a word as
+    a :class:`~repro.rtl.pipeline.WordBeat`.
     """
 
     #: The simulator's hot loop touches every channel every cycle;
@@ -56,9 +65,9 @@ class Channel:
         "name",
         "capacity",
         "registered",
+        "width_bytes",
         "producers",
         "consumers",
-        "_queue",
         "pushes",
         "pops",
         "max_occupancy",
@@ -66,15 +75,27 @@ class Channel:
         "on_pop",
     )
 
-    def __init__(self, name: str, capacity: int = 1, *, registered: bool = True) -> None:
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        name: str,
+        capacity: int = 1,
+        *,
+        registered: bool = True,
+        width_bytes: Optional[int] = None,
+    ) -> None:
         if capacity < 1:
             raise ValueError("channel capacity must be >= 1")
+        super().__init__()
         self.name = name
         self.capacity = capacity
         self.registered = registered
+        self.width_bytes = width_bytes
         self.producers: List["Module"] = []
         self.consumers: List["Module"] = []
-        self._queue: Deque[Any] = deque()
         self.pushes = 0
         self.pops = 0
         self.max_occupancy = 0
@@ -88,26 +109,26 @@ class Channel:
     @property
     def can_push(self) -> bool:
         """Ready: space available this cycle."""
-        return len(self._queue) < self.capacity
+        return len(self) < self.capacity
 
     @property
     def can_pop(self) -> bool:
-        """Valid: data available this cycle."""
-        return bool(self._queue)
+        """Valid: data available this cycle (``bool(ch)``)."""
+        return len(self) > 0
 
     @property
     def occupancy(self) -> int:
-        return len(self._queue)
+        return len(self)
 
     # ------------------------------------------------------------------ data
     def push(self, item: Any) -> None:
-        queue = self._queue
-        occupancy = len(queue) + 1
+        """Append ``item``; the capacity check is part of the push."""
+        occupancy = len(self) + 1
         if occupancy > self.capacity:
             raise BackpressureOverflow(
                 f"push into full channel {self.name!r} (capacity {self.capacity})"
             )
-        queue.append(item)
+        self.append(item)
         self.pushes += 1
         if occupancy > self.max_occupancy:
             self.max_occupancy = occupancy
@@ -115,21 +136,21 @@ class Channel:
             self.on_push(item)
 
     def pop(self) -> Any:
-        if not self._queue:
+        if not self:
             raise BackpressureOverflow(f"pop from empty channel {self.name!r}")
         self.pops += 1
-        item = self._queue.popleft()
+        item = self.popleft()
         if self.on_pop is not None:
             self.on_pop(item)
         return item
 
     def peek(self) -> Any:
-        if not self._queue:
+        if not self:
             raise BackpressureOverflow(f"peek at empty channel {self.name!r}")
-        return self._queue[0]
+        return self[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Channel({self.name!r}, {len(self._queue)}/{self.capacity})"
+        return f"Channel({self.name!r}, {len(self)}/{self.capacity})"
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ def _check_contracts(modules: Sequence[Module], emit) -> None:
             if timing.burst_words < 1:
                 emit("P5T004",
                      f"module {module.name!r} declares a burst below one word "
-                     f"into {timing.channel.name if timing.channel else '?'!r}",
+                     f"into {timing.channel.name if timing.channel is not None else '?'!r}",
                      module.name)
         for bound in contract.buffers:
             if bound.min_required < 0 or bound.capacity < 0:

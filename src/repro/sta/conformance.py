@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import ContractViolationError
 from repro.lint.rules import Finding
 from repro.rtl.module import Channel, Module, TimingContract
+from repro.rtl.pipeline import word_of
 
 __all__ = ["ContractMonitor"]
 
@@ -57,9 +58,14 @@ class _ModuleRecord:
 
 
 def _octets(item: Any) -> int:
-    """Valid octets of a beat; non-beat payloads count zero."""
-    n = getattr(item, "n_valid", None)
-    return int(n) if isinstance(n, int) else 0
+    """Valid octets of a word (or beat); other payloads count zero."""
+    word = word_of(item)
+    return len(word[0]) if word is not None else 0
+
+
+def _closes_frame(item: Any) -> bool:
+    word = word_of(item)
+    return word is not None and bool(word[2])
 
 
 class ContractMonitor:
@@ -117,7 +123,7 @@ class ContractMonitor:
                 record.first_pop = cycle
             record.popped_this_cycle = True
             record.in_octets += _octets(item)
-            if getattr(item, "eof", False):
+            if _closes_frame(item):
                 record.frames_in += 1
 
     def _end_of_cycle(self, _cycle: int) -> None:

@@ -66,6 +66,30 @@ class M:
     assert lint_source(source) == []
 
 
+def test_channel_truth_test_counts_as_pop_guard():
+    source = """
+class M:
+    def clock(self):
+        if not self.inp:
+            return
+        octets, sof, eof = self.inp.peek()
+        self.inp.pop()
+        if self.other and self.out.can_push:
+            self.out.push(self.other.pop())
+"""
+    assert lint_source(source) == []
+
+
+def test_truth_test_of_another_channel_does_not_guard_pop():
+    source = """
+class M:
+    def clock(self):
+        if self.other:
+            self.inp.pop()
+"""
+    assert codes(lint_source(source)) == ["P5L002"]
+
+
 def test_room_arithmetic_counts_as_push_guard():
     source = """
 class M:
