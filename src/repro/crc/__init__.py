@@ -13,7 +13,14 @@ Three interchangeable implementations of the same specification:
 
 All three are cross-checked against each other and against published
 check values in the test suite.
+
+The matrix formulation is built on numpy and is imported on first
+access (PEP 562): the datapaths run :class:`TableCrc`, so importing
+``repro.crc`` for a spec or the table engine does not load numpy.
 """
+
+from importlib import import_module
+from typing import Any
 
 from repro.crc.polynomial import (
     CRC16_CCITT_FALSE,
@@ -28,8 +35,13 @@ from repro.crc.polynomial import (
 )
 from repro.crc.bitserial import BitSerialCrc
 from repro.crc.table import TableCrc
-from repro.crc.matrix import CrcMatrices, build_matrices
-from repro.crc.parallel import ParallelCrc
+
+#: The numpy-backed names and the modules that define them.
+_LAZY = {
+    "CrcMatrices": "repro.crc.matrix",
+    "build_matrices": "repro.crc.matrix",
+    "ParallelCrc": "repro.crc.parallel",
+}
 
 __all__ = [
     "CrcSpec",
@@ -47,3 +59,16 @@ __all__ = [
     "build_matrices",
     "ParallelCrc",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.crc' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

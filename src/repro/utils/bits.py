@@ -12,9 +12,14 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import TYPE_CHECKING, Iterable, List
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported by the three array helpers that use it, not here:
+# the CRC engines import this module for bit_reflect alone, and the
+# cycle engine's import path stays numpy-free.
 
 __all__ = [
     "popcount",
@@ -63,6 +68,8 @@ def int_to_bits(value: int, width: int, *, lsb_first: bool = False) -> np.ndarra
     MSB-first by default; set ``lsb_first=True`` for serial links that
     shift the least-significant bit out first.
     """
+    import numpy as np
+
     if value >> width:
         raise ValueError(f"value 0x{value:X} does not fit in {width} bits")
     bits = np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
@@ -89,6 +96,8 @@ def bytes_to_bits(data: bytes, *, lsb_first: bool = False) -> np.ndarray:
     selected with ``lsb_first`` (HDLC octet links are LSB-first, SONET
     is MSB-first).
     """
+    import numpy as np
+
     arr = np.frombuffer(bytes(data), dtype=np.uint8)
     order = "little" if lsb_first else "big"
     return np.unpackbits(arr, bitorder=order)
@@ -99,6 +108,8 @@ def bits_to_bytes(bits: np.ndarray, *, lsb_first: bool = False) -> bytes:
 
     The bit count must be a multiple of 8.
     """
+    import numpy as np
+
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size % 8:
         raise ValueError(f"bit count {bits.size} is not a multiple of 8")

@@ -63,3 +63,24 @@ def test_exports_are_the_defining_objects():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         repro.no_such_name
+
+
+def test_cycle_engine_runs_without_importing_numpy():
+    """The cycle engine's import path and a 24-frame batch leave numpy unloaded."""
+    code = (
+        "import json, sys\n"
+        "from repro.core.p5 import P5System, PhyWire\n"
+        "from repro.rtl.simulator import Simulator\n"
+        "system = P5System(name='probe')\n"
+        "wire = PhyWire('probe.wire', system.tx.phy_out, system.rx.phy_in)\n"
+        "sim = Simulator(system.tx.modules + [wire] + system.rx.modules, system.channels)\n"
+        "frames = [bytes([0xFF, 0x03, 0x00, 0x21]) + bytes(range(n % 256)) * (n // 64 + 1)\n"
+        "          for n in range(40, 40 + 24 * 61, 61)]\n"
+        "for content in frames:\n"
+        "    system.submit(content)\n"
+        "sim.run_until(lambda: len(system.received()) >= 24 and system.idle(), timeout=10**6)\n"
+        "print(json.dumps({'good': sum(ok for _, ok in system.received()),\n"
+        "                  'numpy': 'numpy' in sys.modules}))\n"
+    )
+    result = json.loads(_run(code).splitlines()[-1])
+    assert result == {"good": 24, "numpy": False}
