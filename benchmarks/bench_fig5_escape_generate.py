@@ -22,7 +22,8 @@ from repro.rtl import (
 
 def run_figure5():
     data = bytes([FLAG_OCTET, 0x12, 0x34, 0x56])
-    c_in, c_out = Channel("escgen.in", capacity=2), Channel("escgen.out", capacity=2)
+    c_in = Channel("escgen.in", capacity=2, width_bytes=4)
+    c_out = Channel("escgen.out", capacity=2, width_bytes=4)
     src = StreamSource("src", c_in, beats_from_bytes(data, 4))
     unit = PipelinedEscapeGenerate("gen", c_in, c_out, width_bytes=4)
     sink = StreamSink("sink", c_out)

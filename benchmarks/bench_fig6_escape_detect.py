@@ -24,7 +24,8 @@ def run_figure6():
     # The figure's word followed by a second word to fill the bubble.
     data = bytes([ESC_OCTET, FLAG_OCTET ^ ESCAPE_XOR,
                   0x12, 0x34, 0x56, 0x57, 0x58, 0x59])
-    c_in, c_out = Channel("escdet.in", capacity=2), Channel("escdet.out", capacity=2)
+    c_in = Channel("escdet.in", capacity=2, width_bytes=4)
+    c_out = Channel("escdet.out", capacity=2, width_bytes=4)
     src = StreamSource("src", c_in, beats_from_bytes(data, 4))
     unit = PipelinedEscapeDetect("det", c_in, c_out, width_bytes=4)
     sink = StreamSink("sink", c_out)
