@@ -391,24 +391,34 @@ class PipelinedEscapeDetect(_EscapePipelineBase):
         self._pending_xor = False
         self.octets_deleted = 0
         self.dangling_escape_errors = 0
+        # ``octets_deleted`` when the open frame started.
+        self._deleted_at_sof = 0
 
     def _transform(self, word: Word) -> bytes:
         octets, _sof, eof = word
         if not (
-            self._pending_xor or self.esc_octet in octets or self.flag_octet in octets
+            self._pending_xor
+            or self.esc_octet in octets
+            or self.flag_octet in octets
+            or eof
         ):
             return octets  # pass-through: contract_word would copy it
         contracted, self._pending_xor, deleted = contract_word(
             word, self._pending_xor, self.esc_octet, self.flag_octet
         )
         self.octets_deleted += deleted
-        if eof and self._pending_xor:
-            # Dangling escape at frame end: the control FSM is told via
-            # the OAM; the truncated frame will fail its FCS anyway.
-            # An aborted frame is dropped unjudged, so its tail is not.
-            if eof != EOF_ABORT:
+        if eof:
+            if eof == EOF_ABORT:
+                # An aborted frame is discarded unjudged (RFC 1662):
+                # neither its escapes nor a dangling tail are counted,
+                # however much of it had shipped when the abort came.
+                self.octets_deleted = self._deleted_at_sof
+            elif self._pending_xor:
+                # Dangling escape at frame end: the control FSM is told
+                # via the OAM; the truncated frame fails its FCS anyway.
                 self.dangling_escape_errors += 1
             self._pending_xor = False
+            self._deleted_at_sof = self.octets_deleted
         return contracted
 
     def timing_contract(self) -> TimingContract:

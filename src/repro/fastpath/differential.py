@@ -174,7 +174,8 @@ class DifferentialHarness:
         """RX-only differential over an arbitrary (possibly damaged) line.
 
         Compares the received frames with their FCS verdicts, and the
-        verdict and delineation error counters.
+        verdict, delineation and escape counters.  ``DANGLING_ESCAPES``
+        is exempt: the codec keeps no such counter.
         """
         rx_cycle = self._run_cycle_rx(line)
         rx_fast = self.engine.decode_stream(line)
@@ -207,6 +208,7 @@ class DifferentialHarness:
                 rx_cycle.delineator.empty_bodies,
                 rx_fast.empty_bodies,
             ),
+            ("ESC_DELETED", rx_cycle.escape.octets_deleted, rx_fast.octets_deleted),
         ]
         for name, cycle_value, fast_value in pairs:
             if cycle_value != fast_value:

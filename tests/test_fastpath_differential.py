@@ -95,18 +95,21 @@ def test_aborted_complete_frame_is_dropped_whole(width_bits, length):
 
     Its FCS is intact, and part of it has already shipped when the
     abort arrives, yet both receivers drop it whole: one abort, no
-    FCS verdict, and only the next frame lands.
+    FCS verdict, and only the next frame lands.  The escapes of the
+    aborted frame are not counted either (``7E 7D 11`` repeated puts
+    two in every three octets).
     """
     harness = DifferentialHarness(P5Config(width_bits=width_bits))
     encode = harness.engine.encode_frame
-    content = bytes(range(0x30, 0x30 + length))
-    line = encode(content)[:-1] + bytes([ESC_OCTET, FLAG_OCTET]) + encode(b"next")
-    harness.run_rx(line).assert_ok()
-    rx = harness._run_cycle_rx(line)
-    assert rx.frames == [(b"next", True)]
-    assert (rx.delineator.aborts, rx.crc.fcs_errors, rx.escape.dangling_escape_errors) == (
-        1, 0, 0
-    )
+    for content in (bytes(range(0x30, 0x30 + length)), b"\x7e\x7d\x11" * length):
+        line = encode(content)[:-1] + bytes([ESC_OCTET, FLAG_OCTET]) + encode(b"next")
+        harness.run_rx(line).assert_ok()
+        rx = harness._run_cycle_rx(line)
+        assert rx.frames == [(b"next", True)]
+        assert (
+            rx.delineator.aborts, rx.crc.fcs_errors, rx.escape.dangling_escape_errors
+        ) == (1, 0, 0)
+        assert rx.escape.octets_deleted == harness.engine.decode_stream(line).octets_deleted
 
 
 @settings(max_examples=6, deadline=None)
