@@ -21,7 +21,6 @@ from repro.core.escape_pipeline import (
     PipelinedEscapeDetect,
     PipelinedEscapeGenerate,
 )
-from repro.core.crc_unit import CrcUnit
 from repro.core.tx import P5Transmitter
 from repro.core.rx import P5Receiver
 from repro.core.oam import ProtocolOam
@@ -38,7 +37,6 @@ __all__ = [
     "P5Config",
     "PipelinedEscapeGenerate",
     "PipelinedEscapeDetect",
-    "CrcUnit",
     "P5Transmitter",
     "P5Receiver",
     "ProtocolOam",

@@ -22,8 +22,6 @@ equal for every registered spec and datapath width.
 * :class:`CrcCheck` — receive side: verifies the FCS over the whole
   frame via the magic-residue method and strips the trailer,
   re-marking end-of-frame on the last content word.
-
-``CrcUnit`` is a factory helper selecting the direction.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from repro.errors import FcsError, FramingError, RuntFrameError
 from repro.rtl.module import Channel, ChannelTiming, Module, TimingContract
 from repro.rtl.pipeline import EOF_ABORT
 
-__all__ = ["CrcGenerate", "CrcCheck", "CrcUnit"]
+__all__ = ["CrcGenerate", "CrcCheck"]
 
 
 class CrcGenerate(Module):
@@ -300,19 +298,3 @@ class CrcCheck(Module):
         self._frame_octets = 0
         self._sof_pending = True
 
-
-def CrcUnit(
-    name: str,
-    inp: Channel,
-    out: Channel,
-    *,
-    width_bytes: int,
-    spec: CrcSpec,
-    mode: str,
-) -> Module:
-    """Factory: ``mode='generate'`` (TX) or ``mode='check'`` (RX)."""
-    if mode == "generate":
-        return CrcGenerate(name, inp, out, width_bytes=width_bytes, spec=spec)
-    if mode == "check":
-        return CrcCheck(name, inp, out, width_bytes=width_bytes, spec=spec)
-    raise ValueError(f"unknown CRC unit mode {mode!r}")

@@ -7,7 +7,10 @@ stuff → CRC → frame → delineate → destuff → check transformation
 applied to *whole frames and batches of frames* with C-level ``bytes``
 operations and the C-speed :mod:`zlib` CRC — no per-cycle stepping.
 
-The two engines are kept honest against each other by the
+The fastpath runs as plain calls, not as a module graph, so the
+static analyses (:mod:`repro.lint`, :mod:`repro.sta`) cover the
+cycle-accurate design only.  The two engines are kept honest against
+each other by the
 :class:`~repro.fastpath.differential.DifferentialHarness`, which runs
 identical workloads through both and asserts byte-identical line
 streams, identical frame verdicts and identical OAM-visible counters.
@@ -21,13 +24,6 @@ from repro.fastpath.engine import (
     FastpathRxResult,
     FastpathTxResult,
 )
-from repro.fastpath.modules import (
-    FastpathFrameSink,
-    FastpathFrameSource,
-    FastpathRx,
-    FastpathTx,
-    build_fastpath_loopback,
-)
 from repro.fastpath.sonet import SonetFastpath
 
 __all__ = [
@@ -36,10 +32,5 @@ __all__ = [
     "FastpathRxResult",
     "DifferentialHarness",
     "DifferentialReport",
-    "FastpathTx",
-    "FastpathRx",
-    "FastpathFrameSource",
-    "FastpathFrameSink",
-    "build_fastpath_loopback",
     "SonetFastpath",
 ]

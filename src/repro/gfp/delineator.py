@@ -22,7 +22,6 @@ from typing import Dict, List
 
 from repro.errors import FcsError, FramingError
 from repro.gfp.frame import CORE_SCRAMBLE_WORD, GfpFrame, hec
-from repro.rtl.module import ChannelTiming, TimingContract
 
 __all__ = ["GfpState", "GfpStats", "GfpDelineator"]
 
@@ -73,18 +72,7 @@ class GfpDelineator:
     Feed arbitrary chunks with :meth:`feed`; decoded client frames are
     returned in order.  ``presync_hits`` is the DELTA of G.7041 (number
     of consecutive correct headers required to declare sync).
-
-    The class-level :data:`TIMING_CONTRACT` declares the receive-side
-    flow for :mod:`repro.sta`: delineation only removes octets (core
-    headers, hunt noise), and first emission waits for sync — a
-    traffic-dependent delay, so the latency figure is not a bound.
     """
-
-    TIMING_CONTRACT = TimingContract(
-        latency_cycles=1,
-        latency_is_bound=False,
-        outputs=(ChannelTiming(max_expansion=1.0, min_expansion=0.0),),
-    )
 
     def __init__(self, *, presync_hits: int = 2, correct_single_bit: bool = True) -> None:
         self.presync_hits = presync_hits

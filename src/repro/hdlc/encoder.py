@@ -22,7 +22,6 @@ from repro.crc.table import TableCrc
 from repro.hdlc.accm import Accm
 from repro.hdlc.byte_stuffing import check_framing_octets, escape_octets
 from repro.hdlc.constants import ESCAPE_XOR, ESC_OCTET, FLAG_OCTET
-from repro.rtl.module import ChannelTiming, TimingContract
 
 __all__ = ["TransmitPolicy", "Encoder", "stuff", "escape_set", "stuffed_length"]
 
@@ -71,16 +70,6 @@ class Encoder:
     The stuffing kernel is a ``bytes.replace`` chain when the policy
     makes it exact and one regex pass otherwise, chosen at construction.
     """
-
-    #: Whole-frame model: zero pipeline depth, but the same worst-case
-    #: expansion the cycle-accurate escape-generate unit declares —
-    #: stuffing can double a body, and each frame adds two flags on
-    #: top of the widest FCS.
-    TIMING_CONTRACT = TimingContract(
-        latency_cycles=1,
-        latency_is_bound=False,
-        outputs=(ChannelTiming(max_expansion=2.0, per_frame_octets=2 + 4),),
-    )
 
     def __init__(self, policy: TransmitPolicy = TransmitPolicy()) -> None:
         self.policy = policy

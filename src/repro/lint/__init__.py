@@ -2,7 +2,7 @@
 
 Two complementary passes, neither of which clocks a single cycle:
 
-* the **graph DRC** (:func:`lint_topology` / :func:`lint_simulator`)
+* the **graph DRC** (:func:`lint_topology`)
   checks a constructed Module/Channel topology for wiring errors —
   double-driven channels, dangling nets, mis-ordered simulator module
   lists, undersized channels, combinational loops (rules ``P5D...``);
@@ -18,7 +18,7 @@ shipped tree.
 """
 
 from repro.lint.rules import RULES, Finding, Rule, Severity, rule
-from repro.lint.graph import lint_simulator, lint_topology
+from repro.lint.graph import lint_topology
 from repro.lint.astlint import lint_file, lint_paths, lint_source
 from repro.lint.report import (
     JSON_SCHEMA_VERSION,
@@ -39,7 +39,6 @@ __all__ = [
     "Severity",
     "rule",
     "lint_topology",
-    "lint_simulator",
     "lint_source",
     "lint_file",
     "lint_paths",

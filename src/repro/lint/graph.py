@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Sequence, Set
 from repro.lint.rules import Finding
 from repro.rtl.module import Channel, Module
 
-__all__ = ["lint_topology", "lint_simulator", "dataflow_components"]
+__all__ = ["lint_topology", "dataflow_components"]
 
 
 def _collect_channels(
@@ -254,8 +254,3 @@ def lint_topology(
              f"nor a timing_contract()", module.name)
 
     return findings
-
-
-def lint_simulator(sim) -> List[Finding]:
-    """DRC a built :class:`~repro.rtl.simulator.Simulator` instance."""
-    return lint_topology(sim.modules, sim.channels)

@@ -59,11 +59,6 @@ def shipped_topologies() -> List[Tuple[str, Sequence[Module], Iterable[Channel]]
     )
     topologies.append(("fault-harness", fault_sim.modules, fault_sim.channels))
 
-    from repro.fastpath.modules import build_fastpath_loopback
-
-    fp_modules, fp_channels = build_fastpath_loopback(P5Config.thirty_two_bit())
-    topologies.append(("fastpath-loopback", fp_modules, fp_channels))
-
     from repro.resilience.targets import build_dual_lane_topology
 
     dl_modules, dl_channels = build_dual_lane_topology()

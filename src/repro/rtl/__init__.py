@@ -31,7 +31,6 @@ from repro.rtl.pipeline import (
     beats_from_bytes,
     bytes_from_beats,
 )
-from repro.rtl.fifo import SyncFifo
 from repro.rtl.trace import TraceRecorder
 
 __all__ = [
@@ -44,6 +43,5 @@ __all__ = [
     "StallPattern",
     "beats_from_bytes",
     "bytes_from_beats",
-    "SyncFifo",
     "TraceRecorder",
 ]

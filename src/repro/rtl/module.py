@@ -164,13 +164,9 @@ class ChannelTiming:
     from the ratio; ``burst_words`` is the most words the module may
     push into this channel in a single cycle — the flow solver's
     minimum safe capacity for the channel.
-
-    ``channel=None`` describes an *abstract* output stream: the
-    behavioural framers (HDLC/GFP/SONET) declare flow ratios without
-    being wired into a channel graph.
     """
 
-    channel: Optional["Channel"] = None
+    channel: Channel
     max_expansion: float = 1.0
     min_expansion: float = 1.0
     per_frame_octets: int = 0

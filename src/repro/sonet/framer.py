@@ -25,7 +25,6 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import PointerError, SonetError
-from repro.rtl.module import ChannelTiming, TimingContract
 from repro.sonet.constants import (
     A1,
     A2,
@@ -107,12 +106,6 @@ class SonetFrame:
 class SonetFramer:
     """Build (and book-keep parity across) successive STS-Nc frames.
 
-    The class-level :data:`TIMING_CONTRACT` declares the envelope's
-    flow cost for the :mod:`repro.sta` analyses: transport plus path
-    overhead expand the payload by at most 90/86 (the STS-1 grid: 90
-    columns carrying 86 of payload), and frame emission is traffic
-    independent, so the latency figure is not a run-time bound.
-
     Parameters
     ----------
     n:
@@ -127,12 +120,6 @@ class SonetFramer:
         Apply the frame-synchronous scrambler (on by default; switch
         off to observe raw overhead in tests).
     """
-
-    TIMING_CONTRACT = TimingContract(
-        latency_cycles=1,
-        latency_is_bound=False,
-        outputs=(ChannelTiming(max_expansion=90.0 / 86.0),),
-    )
 
     def __init__(
         self,

@@ -14,9 +14,10 @@ Three engines plus a run-time cross-check:
 * the **path engine** (:mod:`repro.sta.paths`) sums per-stage latency
   contracts along source-to-sink paths and converts cycles to
   nanoseconds at a configurable line clock;
-* the **flow solver** (:mod:`repro.sta.flow`) propagates worst-case
-  expansion ratios (stuffing doubles, destuffing halves) and derives
-  the minimum capacity every channel and internal buffer needs;
+* the **flow solver** (:mod:`repro.sta.flow`) derives the minimum
+  capacity every channel needs from its producer's declared
+  single-cycle burst (internal buffers are checked against their
+  declared bounds by the analyzer);
 * the **deadlock checker** (also :mod:`repro.sta.flow`) verifies each
   feedback cycle's registered-channel credit covers its in-flight
   demand;
@@ -31,10 +32,10 @@ flow through the shared lint reporters, so the ``repro sta`` CLI and
 CI handle them exactly like DRC output.
 """
 
-from repro.sta.analyzer import LatencyBudget, analyze_simulator, analyze_topology
+from repro.sta.analyzer import LatencyBudget, analyze_topology
 from repro.sta.claims import paper_budgets, sorter_fill_budget
 from repro.sta.conformance import ContractMonitor
-from repro.sta.flow import CycleCredit, channel_demands, cumulative_expansion, cycle_credits
+from repro.sta.flow import CycleCredit, channel_demands, cycle_credits
 from repro.sta.paths import (
     PathLatency,
     cycles_to_ns,
@@ -47,13 +48,11 @@ from repro.sta.targets import canonical_findings
 __all__ = [
     "LatencyBudget",
     "analyze_topology",
-    "analyze_simulator",
     "paper_budgets",
     "sorter_fill_budget",
     "ContractMonitor",
     "CycleCredit",
     "channel_demands",
-    "cumulative_expansion",
     "cycle_credits",
     "PathLatency",
     "cycles_to_ns",

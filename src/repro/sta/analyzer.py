@@ -17,7 +17,7 @@ from repro.rtl.module import Channel, Module
 from repro.sta.flow import channel_demands, cycle_credits
 from repro.sta.paths import cycles_to_ns, latency_between
 
-__all__ = ["LatencyBudget", "analyze_topology", "analyze_simulator"]
+__all__ = ["LatencyBudget", "analyze_topology"]
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def _check_contracts(modules: Sequence[Module], emit) -> None:
                  f"module {module.name!r} declares non-positive initiation "
                  f"interval {contract.initiation_interval}", module.name)
         for timing in contract.outputs:
-            if timing.channel is not None and timing.channel not in module.writes_to:
+            if timing.channel not in module.writes_to:
                 emit("P5T004",
                      f"module {module.name!r} declares timing for channel "
                      f"{timing.channel.name!r} it does not write", module.name)
@@ -67,7 +67,7 @@ def _check_contracts(modules: Sequence[Module], emit) -> None:
             if timing.burst_words < 1:
                 emit("P5T004",
                      f"module {module.name!r} declares a burst below one word "
-                     f"into {timing.channel.name if timing.channel is not None else '?'!r}",
+                     f"into {timing.channel.name!r}",
                      module.name)
         for bound in contract.buffers:
             if bound.min_required < 0 or bound.capacity < 0:
@@ -185,8 +185,3 @@ def analyze_topology(
     _check_unconstrained(module_list, emit)
     _check_budgets(module_list, channel_list, budgets, clock_hz, emit)
     return findings
-
-
-def analyze_simulator(sim, **kwargs) -> List[Finding]:
-    """Analyze a built :class:`~repro.rtl.simulator.Simulator`."""
-    return analyze_topology(sim.modules, sim.channels, **kwargs)

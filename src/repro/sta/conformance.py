@@ -186,8 +186,6 @@ class ContractMonitor:
 
     def _check_flow(self, record: _ModuleRecord, emit) -> None:
         for timing in record.contract.outputs:
-            if timing.channel is None:
-                continue
             observed = record.out_octets.get(timing.channel.name, 0)
             # The open frame has not produced its eof yet, so allow the
             # per-frame overhead once more than the completed count.
@@ -206,8 +204,6 @@ class ContractMonitor:
 
     def _check_bursts(self, record: _ModuleRecord, emit) -> None:
         for timing in record.contract.outputs:
-            if timing.channel is None:
-                continue
             peak = record.burst_peak.get(timing.channel.name, 0)
             if peak > timing.burst_words:
                 emit(

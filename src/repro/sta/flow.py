@@ -4,12 +4,10 @@ Two static questions about every wired topology:
 
 * **sizing** — how deep must each channel be?  The answer is the
   worst single-cycle burst any producer declares into it
-  (:func:`channel_demands`); sustained worst-case *rate* inflation —
-  stuffing doubling the stream — is tracked separately as a
-  cumulative expansion ratio per channel (:func:`cumulative_expansion`),
-  the figure that justifies the "extremely low" resynchronisation
-  buffer: expansion is absorbed by backpressure (halving the intake
-  rate), not by buffering.
+  (:func:`channel_demands`).  Sustained worst-case *rate* inflation —
+  stuffing doubling the stream — needs no depth: it is absorbed by
+  backpressure (halving the intake rate), not by buffering, which is
+  why the resynchronisation buffer can stay "extremely low".
 * **deadlock-freedom** — can a feedback cycle wedge?  A ring only
   deadlocks when every member waits on a full channel, which is
   impossible while the registered channels on the ring can hold every
@@ -20,7 +18,7 @@ Two static questions about every wired topology:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.lint.graph import dataflow_components
 from repro.rtl.module import Channel, Module
@@ -30,7 +28,6 @@ __all__ = [
     "ChannelDemand",
     "CycleCredit",
     "channel_demands",
-    "cumulative_expansion",
     "cycle_credits",
 ]
 
@@ -74,71 +71,6 @@ def channel_demands(
             ChannelDemand(channel=channel, required=required, producer=producer, why=why)
         )
     return demands
-
-
-def cumulative_expansion(
-    modules: Sequence[Module], channels: Iterable[Channel] = ()
-) -> Dict[str, Optional[float]]:
-    """Worst-case octets-per-source-octet ratio arriving at each channel.
-
-    Propagates each stage's ``max_expansion`` from the sources down
-    the graph (relaxation to a fixed point; a cycle that amplifies
-    flow never converges and is reported as ``None`` = unbounded).
-    Stages without contracts propagate ratio 1.0 — their paths are
-    separately flagged as unconstrained by the analyzer.
-    """
-    module_list = list(modules)
-    all_channels = wired_channels(module_list, channels)
-    module_ids = {id(m): m for m in module_list}
-
-    # Ratio of worst-case flow arriving at each module's inputs,
-    # relative to one octet leaving a source.
-    at_module: Dict[int, float] = {
-        id(m): 1.0 for m in module_list if not m.reads_from
-    }
-    result: Dict[str, Optional[float]] = {}
-
-    def expansion_of(module: Module, channel: Channel) -> float:
-        contract = module.timing_contract()
-        if contract is None:
-            return 1.0
-        for timing in contract.outputs:
-            if timing.channel is channel:
-                return timing.max_expansion
-        return 1.0
-
-    # Bounded relaxation: |modules| rounds suffice for any acyclic
-    # graph; further change means an amplifying cycle.
-    for _ in range(len(module_list) + 1):
-        changed = False
-        for channel in all_channels:
-            best: Optional[float] = None
-            for producer in channel.producers:
-                if id(producer) not in module_ids:
-                    continue
-                base = at_module.get(id(producer))
-                if base is None:
-                    continue
-                ratio = base * expansion_of(producer, channel)
-                if best is None or ratio > best:
-                    best = ratio
-            if best is None:
-                continue
-            prev = result.get(channel.name)
-            if prev is None or best > prev:
-                result[channel.name] = best
-                changed = True
-            for consumer in channel.consumers:
-                if id(consumer) not in module_ids:
-                    continue
-                current = at_module.get(id(consumer))
-                if current is None or best > current:
-                    at_module[id(consumer)] = best
-                    changed = True
-        if not changed:
-            return result
-    # Still changing after |modules| rounds: some cycle amplifies.
-    return {name: None for name in result}
 
 
 @dataclass(frozen=True)
@@ -194,11 +126,7 @@ def cycle_credits(
             contract = member.timing_contract()
             if contract is not None:
                 for timing in contract.outputs:
-                    if (
-                        timing.channel is not None
-                        and id(timing.channel) in internal_ids
-                        and timing.burst_words > burst
-                    ):
+                    if id(timing.channel) in internal_ids and timing.burst_words > burst:
                         burst = timing.burst_words
             demand += burst
         credits.append(CycleCredit(

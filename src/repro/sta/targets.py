@@ -38,18 +38,6 @@ def canonical_findings(*, clock_hz: float = 78.125e6) -> List[Finding]:
             )
         )
 
-    from repro.fastpath.modules import build_fastpath_loopback
-
-    fp_modules, fp_channels = build_fastpath_loopback(P5Config.thirty_two_bit())
-    findings.extend(
-        analyze_topology(
-            fp_modules,
-            fp_channels,
-            topology_name="fastpath-loopback",
-            clock_hz=clock_hz,
-        )
-    )
-
     from repro.resilience.targets import build_dual_lane_topology
 
     dl_modules, dl_channels = build_dual_lane_topology()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crc import CRC16_X25, CRC32, TableCrc
-from repro.core.crc_unit import CrcCheck, CrcGenerate, CrcUnit
+from repro.core.crc_unit import CrcCheck, CrcGenerate
 from repro.rtl import (
     Channel,
     Simulator,
@@ -141,18 +141,3 @@ def _frame_spans(frames, width, fcs_octets=4):
         spans.append((offset, end))
         offset = end
     return spans
-
-
-class TestFactory:
-    def test_factory_modes(self):
-        c1, c2 = Channel("a", capacity=8), Channel("b", capacity=8)
-        assert isinstance(
-            CrcUnit("u", c1, c2, width_bytes=4, spec=CRC32, mode="generate"),
-            CrcGenerate,
-        )
-        assert isinstance(
-            CrcUnit("u2", c1, c2, width_bytes=4, spec=CRC32, mode="check"),
-            CrcCheck,
-        )
-        with pytest.raises(ValueError):
-            CrcUnit("u3", c1, c2, width_bytes=4, spec=CRC32, mode="verify")

@@ -20,7 +20,6 @@ from repro.crc import (
     registered_specs,
 )
 from repro.crc.table import _table
-from repro.crc.verify import check_known_value, compare_engines
 
 ALL_SPECS = [CRC8, CRC16_CCITT_FALSE, CRC16_KERMIT, CRC16_X25, CRC32]
 
@@ -59,7 +58,11 @@ class TestKnownValues:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_check_value_all_engines(self, spec):
-        assert check_known_value(spec)
+        message = b"123456789"
+        assert BitSerialCrc(spec).compute(message) == spec.check
+        assert TableCrc(spec).compute(message) == spec.check
+        for width in (8, 16, 32, 64):
+            assert ParallelCrc(spec, width).compute(message) == spec.check
 
     def test_crc32_matches_zlib(self, rng):
         for n in (0, 1, 7, 64, 1000):
@@ -186,7 +189,7 @@ class TestParallel:
 class TestCompareEngines:
     def test_comparison_structure(self, rng):
         data = rng.integers(0, 256, 50, dtype="uint8").tobytes()
-        comparison = compare_engines(CRC32, data)
-        assert comparison.consistent
-        assert comparison.payload_len == 50
-        assert dict(comparison.parallel_by_width)[32] == comparison.bitserial
+        reference = BitSerialCrc(CRC32).compute(data)
+        assert TableCrc(CRC32).compute(data) == reference
+        for width in (8, 16, 32, 64):
+            assert ParallelCrc(CRC32, width).compute(data) == reference

@@ -1,4 +1,4 @@
-"""The frame-level fastpath engine: TX/RX kernels, SONET path, adapters."""
+"""The frame-level fastpath engine: TX/RX kernels and the SONET path."""
 
 import dataclasses
 
@@ -13,12 +13,10 @@ from repro.fastpath import (
     FastpathEngine,
     FastpathRxResult,
     SonetFastpath,
-    build_fastpath_loopback,
 )
 from repro.hdlc import Accm, HdlcFramer, stuffed_length
 from repro.hdlc.byte_stuffing import _stuff_scalar
 from repro.hdlc.constants import ESC_OCTET, FLAG_OCTET
-from repro.rtl.simulator import Simulator
 from repro.sonet.path import PppOverSonet
 from repro.workloads.packets import ppp_frame_contents
 
@@ -208,22 +206,6 @@ def test_sonet_fastpath_batches_form_one_scrambled_stream():
     rx = PppOverSonet(3)
     assert rx.receive_line(b"".join(lines)) == third + first + second
     assert rx.hdlc_stats.total_errors() == 0
-
-
-def test_adapter_topology_matches_direct_engine_calls():
-    config = P5Config()
-    modules, channels = build_fastpath_loopback(config)
-    source, _tx, rx_mod, sink = modules
-    contents = ppp_frame_contents(8, seed=2)
-    for content in contents:
-        source.submit(content)
-    sim = Simulator(modules, channels)
-    sim.run_until(lambda: len(sink.frames) >= len(contents), timeout=10_000)
-    assert sink.good_frames() == list(contents)
-    direct = FastpathEngine(config).loopback(contents)[1]
-    assert rx_mod.result.frames_ok == direct.frames_ok
-    with pytest.raises(ValueError):
-        source.submit(b"")
 
 
 # ---------------------------------------------------------------------------

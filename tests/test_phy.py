@@ -1,15 +1,9 @@
-"""Unit tests for the PHY models (BER line, serdes)."""
+"""Unit tests for the PHY models (BER line, word/octet conversion)."""
 
 import pytest
 
-from repro.phy import (
-    BitErrorLine,
-    LineStats,
-    deserialize,
-    make_beat_corruptor,
-    serialize,
-)
-from repro.rtl.pipeline import WordBeat
+from repro.phy import BitErrorLine, LineStats, make_beat_corruptor
+from repro.rtl.pipeline import WordBeat, beats_from_bytes, bytes_from_beats
 
 
 class TestBitErrorLine:
@@ -113,15 +107,17 @@ class TestLineStats:
 
 
 class TestSerdes:
+    """The PHY boundary: octet line to unmarked datapath words and back."""
+
     def test_round_trip(self, rng):
         data = rng.integers(0, 256, 101, dtype="uint8").tobytes()
-        beats = deserialize(data, 4)
-        assert serialize(beats) == data
+        beats = beats_from_bytes(data, 4, frame_marks=False)
+        assert bytes_from_beats(beats) == data
 
     def test_deserialize_no_frame_marks(self, rng):
-        beats = deserialize(bytes(16), 4)
+        beats = beats_from_bytes(bytes(16), 4, frame_marks=False)
         assert not any(b.sof or b.eof for b in beats)
 
     def test_ragged_tail(self):
-        beats = deserialize(bytes(5), 4)
+        beats = beats_from_bytes(bytes(5), 4, frame_marks=False)
         assert beats[-1].n_valid == 1

@@ -1,7 +1,5 @@
 """The sta flow solver and deadlock-credit checker, plus their mutants."""
 
-import pytest
-
 from repro.core.escape_pipeline import PipelinedEscapeGenerate
 from repro.rtl.module import Channel, ChannelTiming, Module, TimingContract
 from repro.rtl.pipeline import StreamSink, StreamSource
@@ -9,7 +7,6 @@ from repro.sta import (
     analyze_topology,
     canonical_findings,
     channel_demands,
-    cumulative_expansion,
     cycle_credits,
 )
 
@@ -59,29 +56,6 @@ class TestChannelDemands:
         demands = {d.channel.name: d for d in channel_demands(modules)}
         assert demands["out"].required == 3
         assert demands["out"].producer == "e"
-
-
-class TestCumulativeExpansion:
-    def test_ratios_compound_down_a_chain(self):
-        c0, c1, c2 = Channel("c0"), Channel("c1"), Channel("c2")
-        src = StreamSource("src", c0, [])
-        double = Expander("double", c0, c1, expansion=2.0)
-        pad = Expander("pad", c1, c2, expansion=1.5)
-        sink = StreamSink("sink", c2)
-        ratios = cumulative_expansion([src, double, pad, sink])
-        assert ratios["c0"] == pytest.approx(1.0)
-        assert ratios["c1"] == pytest.approx(2.0)
-        assert ratios["c2"] == pytest.approx(3.0)
-
-    def test_amplifying_cycle_reported_unbounded(self):
-        c_in, c_ab, c_ba = Channel("in"), Channel("ab"), Channel("ba")
-        src = StreamSource("src", c_in, [])
-        a = Expander("a", c_in, c_ab, expansion=2.0)
-        a.reads(c_ba)
-        b = Expander("b", c_ab, c_ba)
-        ratios = cumulative_expansion([src, a, b])
-        assert ratios["ab"] is None
-        assert ratios["ba"] is None
 
 
 def ring(burst=1, capacity=1):

@@ -1,39 +1,8 @@
 """Unit tests for repro.utils.bits."""
 
-import numpy as np
 import pytest
 
-from repro.utils.bits import (
-    bit_reflect,
-    bits_to_bytes,
-    bits_to_int,
-    bytes_to_bits,
-    hexdump,
-    int_to_bits,
-    parity,
-    popcount,
-)
-
-
-class TestPopcountParity:
-    def test_popcount_zero(self):
-        assert popcount(0) == 0
-
-    def test_popcount_all_ones_byte(self):
-        assert popcount(0xFF) == 8
-
-    def test_popcount_large(self):
-        assert popcount((1 << 64) - 1) == 64
-
-    def test_popcount_rejects_negative(self):
-        with pytest.raises(ValueError):
-            popcount(-1)
-
-    def test_parity_even(self):
-        assert parity(0b1010) == 0
-
-    def test_parity_odd(self):
-        assert parity(0b1011) == 1
+from repro.utils.bits import bit_reflect, hexdump
 
 
 class TestBitReflect:
@@ -57,45 +26,6 @@ class TestBitReflect:
     def test_rejects_zero_width(self):
         with pytest.raises(ValueError):
             bit_reflect(0, 0)
-
-
-class TestIntBits:
-    def test_msb_first_default(self):
-        assert list(int_to_bits(0b1100, 4)) == [1, 1, 0, 0]
-
-    def test_lsb_first(self):
-        assert list(int_to_bits(0b1100, 4, lsb_first=True)) == [0, 0, 1, 1]
-
-    def test_round_trip_msb(self):
-        for value in (0, 1, 0xA5, 0xFFFF):
-            assert bits_to_int(int_to_bits(value, 16)) == value
-
-    def test_round_trip_lsb(self):
-        for value in (0, 1, 0xA5, 0xFFFF):
-            bits = int_to_bits(value, 16, lsb_first=True)
-            assert bits_to_int(bits, lsb_first=True) == value
-
-    def test_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            int_to_bits(256, 8)
-
-
-class TestBytesBits:
-    def test_msb_first_expansion(self):
-        assert list(bytes_to_bits(b"\x80")) == [1, 0, 0, 0, 0, 0, 0, 0]
-
-    def test_lsb_first_expansion(self):
-        assert list(bytes_to_bits(b"\x80", lsb_first=True)) == [0, 0, 0, 0, 0, 0, 0, 1]
-
-    def test_round_trip_both_orders(self):
-        data = bytes(range(256))
-        for lsb in (False, True):
-            bits = bytes_to_bits(data, lsb_first=lsb)
-            assert bits_to_bytes(bits, lsb_first=lsb) == data
-
-    def test_rejects_ragged_bits(self):
-        with pytest.raises(ValueError):
-            bits_to_bytes(np.ones(7, dtype=np.uint8))
 
 
 class TestHexdump:
