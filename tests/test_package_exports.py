@@ -84,3 +84,26 @@ def test_cycle_engine_runs_without_importing_numpy():
     )
     result = json.loads(_run(code).splitlines()[-1])
     assert result == {"good": 24, "numpy": False}
+
+
+def test_line_paths_run_without_the_cycle_engine():
+    """PoS and GFP over SONET import and run without repro.rtl or repro.core."""
+    code = (
+        "import json, sys\n"
+        "from repro.sonet.path import GfpOverSonet, PppOverSonet\n"
+        "import repro.gfp\n"
+        "frames = [bytes([0xFF, 0x03, 0x00, 0x21]) + bytes(range(n)) for n in (40, 200, 7)] * 3\n"
+        "recovered = []\n"
+        "for path in (PppOverSonet, GfpOverSonet):\n"
+        "    tx, rx = path(48), path(48)\n"
+        "    for content in frames:\n"
+        "        tx.queue_frame(content)\n"
+        "    got = []\n"
+        "    for _ in range(3):\n"
+        "        got += rx.receive_line(tx.next_line_frame())\n"
+        "    recovered.append(got == frames)\n"
+        "print(json.dumps({'recovered': recovered, 'loaded': sorted(\n"
+        "    m for m in sys.modules if m.startswith(('repro.rtl', 'repro.core')))}))\n"
+    )
+    result = json.loads(_run(code).splitlines()[-1])
+    assert result == {"recovered": [True, True], "loaded": []}
